@@ -36,14 +36,13 @@ and `table1` tabulates the results.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .qseries import (
     QSeries,
-    Rat,
+    combine,
     cusp_delta24,
     delta8,
     eisenstein_e4,
@@ -65,14 +64,15 @@ R_RANK = "rank obstruction"
 R_UNBOUNDED = "unbounded free coefficient"
 R_LIMIT = "candidate limit exceeded"
 
-_SEVERITY = {
-    R_PREFIX: 0,
-    R_NONINT: 1,
-    R_NEG: 2,
-    R_PARITY: 3,
-    R_COUNT: 4,
-    R_RANK: 5,
-}
+#: Per-coefficient kill rules of a complete branch, tried in this order:
+#: (reason, adjective for the detail, test that kills the coefficient).
+_COEFF_RULES = (
+    (R_NONINT, "", lambda c: c.denominator != 1),
+    (R_NEG, "", lambda c: c < 0),
+    (R_PARITY, "odd ", lambda c: c % 2 != 0),
+)
+_SEVERITY = {r: i for i, r in enumerate(
+    (R_PREFIX, *(rule[0] for rule in _COEFF_RULES), R_COUNT, R_RANK))}
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -117,26 +117,12 @@ def shadow_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
 
 def lattice_theta(n: int, coeffs, trunc: int) -> QSeries:
     """sum a_j * delta8^j * theta3^(n-8j) for the given coefficients."""
-    basis = theta_basis(n, trunc)
-    if len(coeffs) != len(basis):
-        raise ValueError("expected %d coefficients" % len(basis))
-    acc = QSeries.zero(trunc)
-    for a, b in zip(coeffs, basis):
-        if a:
-            acc = acc + b * Fraction(a)
-    return acc
+    return combine(coeffs, theta_basis(n, trunc))
 
 
 def shadow_theta(n: int, coeffs, trunc: int) -> QSeries:
     """Shadow theta series attached to the same coefficients."""
-    basis = shadow_basis(n, trunc)
-    if len(coeffs) != len(basis):
-        raise ValueError("expected %d coefficients" % len(basis))
-    acc = QSeries.zero(trunc)
-    for a, b in zip(coeffs, basis):
-        if a:
-            acc = acc + b * Fraction(a)
-    return acc
+    return combine(coeffs, shadow_basis(n, trunc))
 
 
 def default_trunc(n: int, mu: int) -> int:
@@ -146,6 +132,28 @@ def default_trunc(n: int, mu: int) -> int:
 
 # ---------------------------------------------------------------------------
 # prefix fit
+
+
+def back_substitute(basis, targets, step: int):
+    """Fit sum_j a_j * basis[j] to the coefficients `targets` at the
+    exponents step*m (m = 0, 1, ...) of a unitriangular basis: basis[j]
+    vanishes below step*j and has coefficient 1 there.
+
+    Returns (coeffs, residual).  coeffs holds a_0..a_(k-1) for
+    k = min(len(targets), len(basis)); the equations m >= len(basis) are
+    overdetermined checks, and residual lists (m, fitted - target) for each
+    one the fit misses.
+    """
+    coeffs: list[Fraction] = []
+    residual = []
+    for m, target in enumerate(targets):
+        acc = sum((a * b.coeff(step * m) for a, b in zip(coeffs, basis)),
+                  Fraction(0))
+        if m < len(basis):
+            coeffs.append(target - acc)
+        elif acc != target:
+            residual.append((m, acc - target))
+    return coeffs, residual
 
 
 @dataclass
@@ -187,19 +195,8 @@ def solve_prefix(n: int, mu: int, trunc: int | None = None) -> ThetaFit:
     if trunc is None:
         trunc = default_trunc(n, mu)
     basis = theta_basis(n, trunc)
-    jmax = n // 8
-    coeffs: list = [None] * (jmax + 1)
-    coeffs[0] = Fraction(1)
-    residual = []
-    for m in range(1, mu):
-        acc = Fraction(0)
-        for j in range(min(m, jmax + 1)):
-            if coeffs[j]:
-                acc += coeffs[j] * basis[j].coeff(4 * m)
-        if m <= jmax:
-            coeffs[m] = -acc  # diagonal coefficient is 1
-        elif acc != 0:
-            residual.append((m, acc))
+    forced, residual = back_substitute(basis, [1] + [0] * (mu - 1), 4)
+    coeffs = forced + [None] * (len(basis) - len(forced))
     return ThetaFit(n, mu, trunc, coeffs, residual)
 
 
@@ -213,13 +210,7 @@ def fit_from_theta(n: int, theta: QSeries) -> list[Fraction]:
     if theta.trunc <= 4 * jmax:
         raise ValueError("theta series must be known past q^%d" % jmax)
     basis = theta_basis(n, max(4 * jmax + 1, 8))
-    coeffs: list[Fraction] = []
-    for m in range(jmax + 1):
-        acc = theta.coeff(4 * m)
-        for j, a in enumerate(coeffs):
-            acc -= a * basis[j].coeff(4 * m)
-        coeffs.append(acc)
-    return coeffs
+    return back_substitute(basis, [theta.coeff(4 * m) for m in range(jmax + 1)], 4)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,70 +477,37 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
         assert th.coeff(0) == 1
         svals = [(e, sh.coeff(e)) for e in grid]
         tvals = [(m, th.coeff(4 * m)) for m in range(1, mu + 5) if 4 * m < trunc]
-        # pass 1: integrality
-        for e, c in svals:
-            if c.denominator != 1:
-                br.verdict, br.reason = INFEASIBLE, R_NONINT
-                br.detail = "shadow coefficient %s at norm %s" % (
-                    rat_str(c), rat_str(Fraction(e, 4)))
-                return br
-        for m, c in tvals:
-            if c.denominator != 1:
-                br.verdict, br.reason = INFEASIBLE, R_NONINT
-                br.detail = "theta coefficient %s at q^%d" % (rat_str(c), m)
-                return br
-        # pass 2: negativity
-        for e, c in svals:
-            if c < 0:
-                br.verdict, br.reason = INFEASIBLE, R_NEG
-                br.detail = "shadow coefficient %s at norm %s" % (
-                    rat_str(c), rat_str(Fraction(e, 4)))
-                return br
-        for m, c in tvals:
-            if c < 0:
-                br.verdict, br.reason = INFEASIBLE, R_NEG
-                br.detail = "theta coefficient %s at q^%d" % (rat_str(c), m)
-                return br
-        # pass 3: parity (vectors come in antipodal pairs)
-        for e, c in svals:
-            if c % 2:
-                br.verdict, br.reason = INFEASIBLE, R_PARITY
-                br.detail = "odd shadow coefficient %s at norm %s" % (
-                    rat_str(c), rat_str(Fraction(e, 4)))
-                return br
-        for m, c in tvals:
-            if c % 2:
-                br.verdict, br.reason = INFEASIBLE, R_PARITY
-                br.detail = "odd theta coefficient %s at q^%d" % (rat_str(c), m)
-                return br
-        # pass 4: shadow count rules
+
+        def kill(reason: str, detail: str) -> Branch:
+            br.verdict, br.reason, br.detail = INFEASIBLE, reason, detail
+            return br
+
+        for reason, adj, fails in _COEFF_RULES:
+            for e, c in svals:
+                if fails(c):
+                    return kill(reason, "%sshadow coefficient %s at norm %s"
+                                % (adj, rat_str(c), rat_str(Fraction(e, 4))))
+            for m, c in tvals:
+                if fails(c):
+                    return kill(reason, "%stheta coefficient %s at q^%d"
+                                % (adj, rat_str(c), m))
+        # shadow count rules
         for e, c in svals:
             if e < mu and c != 0:
-                br.verdict, br.reason = INFEASIBLE, R_COUNT
-                br.detail = "shadow coefficient %s at norm %s below mu/4" % (
-                    rat_str(c), rat_str(Fraction(e, 4)))
-                return br
+                return kill(R_COUNT, "shadow coefficient %s at norm %s below mu/4"
+                            % (rat_str(c), rat_str(Fraction(e, 4))))
             if e < 2 * mu and c > 2:
-                br.verdict, br.reason = INFEASIBLE, R_COUNT
-                br.detail = "shadow coefficient %s at norm %s exceeds 2" % (
-                    rat_str(c), rat_str(Fraction(e, 4)))
-                return br
+                return kill(R_COUNT, "shadow coefficient %s at norm %s exceeds 2"
+                            % (rat_str(c), rat_str(Fraction(e, 4))))
         low = [(e, c) for e, c in svals if e < 2 * mu + 4 and c != 0]
         if len(low) > 1:
-            br.verdict, br.reason = INFEASIBLE, R_COUNT
-            br.detail = "two shadow norms below (mu+2)/2: %s and %s" % (
-                rat_str(Fraction(low[0][0], 4)), rat_str(Fraction(low[1][0], 4)))
-            return br
-        # pass 5: Gram-matrix rank obstruction
+            return kill(R_COUNT, "two shadow norms below (mu+2)/2: %s and %s" % (
+                rat_str(Fraction(low[0][0], 4)), rat_str(Fraction(low[1][0], 4))))
+        # Gram-matrix rank obstruction
         for e, c in low:
-            k = int(c) // 2
-            gc = gram_obstruction(n, Fraction(e, 4), k, mu)
-            if gc.contradiction:
-                br.verdict, br.reason = INFEASIBLE, R_RANK
-                br.detail = gc.detail
-                br.obstruction = gc
-                return br
-            br.obstruction = gc
+            br.obstruction = gram_obstruction(n, Fraction(e, 4), int(c) // 2, mu)
+            if br.obstruction.contradiction:
+                return kill(R_RANK, br.obstruction.detail)
         return br
 
     overflow: list[str] = []
@@ -685,27 +643,12 @@ def even_extremal_scan(n: int, trunc: int | None = None) -> EvenScan | None:
     xmax = (trunc - 1) // 8  # largest x-power available (x = q^2)
 
     for mu in range(2 * (n // 24) + 4, 0, -2):
-        half = mu // 2
-        coeffs: list = [None] * m_count
-        ok = True
-        for i in range(half):
-            acc = Fraction(1) if i == 0 else Fraction(0)
-            for bb in range(min(i, m_count)):
-                acc -= coeffs[bb] * basis[bb].coeff(8 * i)
-            if i < m_count:
-                coeffs[i] = acc  # cusp form basis is unitriangular in x
-            elif acc != 0:
-                ok = False
-                break
-        if not ok:
+        # the cusp form basis is unitriangular in x
+        coeffs, residual = back_substitute(basis, [1] + [0] * (mu // 2 - 1), 8)
+        if residual:
             continue
-        for bb in range(m_count):
-            if coeffs[bb] is None:
-                coeffs[bb] = Fraction(0)
-        series = QSeries.zero(trunc)
-        for c, f in zip(coeffs, basis):
-            if c:
-                series = series + f * c
+        coeffs += [Fraction(0)] * (m_count - len(coeffs))
+        series = combine(coeffs, basis)
         good = all(
             c.denominator == 1 and c >= 0 and (e == 0 or c % 2 == 0)
             for e, c in ((8 * i, series.coeff(8 * i)) for i in range(xmax + 1)))
@@ -842,15 +785,5 @@ def _table_row(n: int) -> dict:
 
 
 def table1(lo: int = 8, hi: int = 40) -> list[dict]:
-    """Certified upper bounds (with known values) for lo <= n <= hi.
-
-    Set UNIMODULAR_WORKERS to fan the dimensions out over processes.
-    """
-    dims = list(range(lo, hi + 1))
-    workers = int(os.environ.get("UNIMODULAR_WORKERS", "1"))
-    if workers > 1 and len(dims) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(dims))) as pool:
-            return pool.map(_table_row, dims)
-    return [_table_row(n) for n in dims]
+    """Certified upper bounds (with known values) for lo <= n <= hi."""
+    return [_table_row(n) for n in range(lo, hi + 1)]

@@ -17,7 +17,6 @@ from . import bounds, codes, constructions, genus
 from .lattice import (
     Lattice,
     check_unimodular,
-    enumerate_short,
     lattice_from_json_dict,
     lattice_to_json_dict,
     min_norm,
@@ -33,11 +32,8 @@ class CliError(Exception):
     pass
 
 
-def _emit(data, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(data, indent=2, sort_keys=False))
-    else:
-        raise AssertionError("textual output must be printed by the caller")
+def _emit(data) -> None:
+    print(json.dumps(data, indent=2, sort_keys=False))
 
 
 def _load_code(spec: str) -> codes.BinaryCode:
@@ -89,7 +85,7 @@ def _cmd_bound(args) -> int:
     if args.mu is not None:
         report = bounds.feasibility_scan(args.dim, args.mu, trunc=args.trunc)
         if args.json:
-            _emit(report.to_json_dict(), True)
+            _emit(report.to_json_dict())
             return 0
         print(report.summary())
         forced = [(j, a) for j, a in enumerate(report.fit.coeffs) if a is not None]
@@ -114,7 +110,7 @@ def _cmd_bound(args) -> int:
         return 0
     cert = bounds.mu_upper(args.dim)
     if args.json:
-        _emit(cert.to_json_dict(), True)
+        _emit(cert.to_json_dict())
         return 0
     print("mu_upper(%d) = %d" % (cert.dim, cert.mu_upper))
     print("  odd-lattice bound:  %d (scan at %d: %s)"
@@ -127,7 +123,7 @@ def _cmd_bound(args) -> int:
 def _cmd_table1(args) -> int:
     rows = bounds.table1(args.start, args.end)
     if args.json:
-        _emit(rows, True)
+        _emit(rows)
         return 0
     print(" n  bound  odd  even  known  attained by")
     for row in rows:
@@ -143,7 +139,7 @@ def _series_cmd(args, fn, label: str) -> int:
     series = fn(L, args.max_norm)
     if args.json:
         _emit({"lattice": L.name, "dim": L.dim, label: series.to_json_dict(),
-               "display": str(series)}, True)
+               "display": str(series)})
         return 0
     print("%s of %s (dim %d), norms <= %d:" % (label, L.name or "lattice",
                                                L.dim, args.max_norm))
@@ -237,7 +233,7 @@ def _cmd_code_info(args) -> int:
         "weight_enumerator": {str(w): c for w, c in sorted(we.items())},
     }
     if args.json:
-        _emit(data, True)
+        _emit(data)
         return 0
     for k, v in data.items():
         print("%s: %s" % (k, v))
@@ -247,7 +243,7 @@ def _cmd_code_info(args) -> int:
 def _cmd_genus_avg(args) -> int:
     avg = genus.solve_cj(args.dim)
     if args.json:
-        _emit(avg.to_json_dict(), True)
+        _emit(avg.to_json_dict())
         return 0
     print("genus-average theta series, dimension %d:" % args.dim)
     upto = args.upto if args.upto is not None else 4
@@ -266,7 +262,7 @@ def _cmd_genus_bound(args) -> int:
     mass = parse_rat(args.mass) if args.mass else None
     cb = genus.mass_count_bound(avg, mass=mass)
     if args.json:
-        _emit(cb.to_json_dict(), True)
+        _emit(cb.to_json_dict())
         return 0
     approx = " (approximate)" if cb.mass_is_approximate else ""
     print("dimension %d, genus mass %s%s" % (cb.dim, rat_str(cb.mass), approx))
@@ -358,10 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

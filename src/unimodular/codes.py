@@ -94,9 +94,6 @@ class BinaryCode:
     def min_distance(self) -> int:
         return min(wt for wt in self.weight_enumerator() if wt > 0)
 
-    def bits(self, w: int) -> list[int]:
-        return [(w >> i) & 1 for i in range(self.n)]
-
     def __repr__(self):
         return f"<code {self.name or ''} [{self.n},{self.k}]>"
 

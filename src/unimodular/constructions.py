@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Lattice, enumerate_short, min_norm, verify_min_norm
+from .lattice import Lattice, enumerate_short, has_vector_below, min_norm
 from .linalg import det_bareiss, hnf_rows, hnf_rows_frac, matmul, parity_kernel_basis
 
 
@@ -335,7 +335,6 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     gram = [[half * sum(a * b for a, b in zip(r1, r2)) for r2 in basis]
             for r1 in bg]
     gens = None
-    scale = None
     if L.gens is not None:
         gens = []
         for row in basis:
@@ -347,8 +346,7 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
                 if row[m + j]:
                     right = [a + row[m + j] * b for a, b in zip(right, L.gens[j])]
             gens.append(left + right)
-        scale = L.scale_sq * half
-    return Lattice(gram, gens=gens, scale_sq=scale,
+    return Lattice(gram, gens=gens, scale_sq=L.scale_sq * half,
                    name=name or "double(%s)" % (L.name or "L"))
 
 
@@ -386,7 +384,7 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
     gens = None
     if L.gens is not None:
         gens = matmul(basis, [[Fraction(x) for x in row] for row in L.gens])
-    return Lattice(gram, gens=gens, scale_sq=L.scale_sq if gens else None,
+    return Lattice(gram, gens=gens, scale_sq=L.scale_sq,
                    name=name or "shave(%s)" % (L.name or "L"))
 
 
@@ -402,9 +400,7 @@ def find_shave_vector(L: Lattice, target) -> list[int] | None:
         if key in seen:
             continue
         seen.add(key)
-        shaved = project_shave(L, x)
-        below = enumerate_short(shaved, Fraction(target) - Fraction(1, 4))
-        if not any(k > 0 for k, c in below.items() if c):
+        if not has_vector_below(project_shave(L, x), target):
             return list(x)
     return None
 

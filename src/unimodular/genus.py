@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import gauss_solve
-from .qseries import QSeries, Rat, g2, h2, rat_str, theta3
+from .qseries import QSeries, combine, g2, h2, rat_str, theta3
 
 
 @dataclass
@@ -95,10 +95,7 @@ def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> Average
         a1 = sum(cc * x for cc, x in zip(c, alpha_row(i)))
         assert a4 == scale * a1, "surplus average-theta relation failed at i=%d" % i
 
-    series = QSeries.zero(trunc)
-    for cc, gp, hp in zip(c, gpow, hpow):
-        if cc:
-            series = series + (gp + hp) * cc
+    series = combine(c, [gp + hp for gp, hp in zip(gpow, hpow)])
     series = (t3n * series).truncate(trunc)
     assert series.coeff(0) == 1
     return AverageTheta(n, c, series)

@@ -16,11 +16,10 @@ counts are doubled.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .linalg import (
     det_frac,
-    gauss_solve,
     identity,
     integral_gso,
     is_integer_matrix,
@@ -28,7 +27,6 @@ from .linalg import (
     mat_frac,
     mat_inverse,
     matmul,
-    matvec,
     parity_kernel_basis,
     transpose,
     vecmat,
@@ -42,6 +40,8 @@ class Lattice:
     def __init__(self, gram, gens=None, scale_sq=1, name=""):
         gram = mat_frac(gram)
         n = len(gram)
+        if n == 0:
+            raise ValueError("a lattice needs dimension at least 1")
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
         for i in range(n):
@@ -141,13 +141,6 @@ def check_unimodular(L: Lattice) -> str:
     return "even"
 
 
-def dual(L: Lattice) -> Lattice:
-    """Dual lattice: Gram matrix is the inverse; embedding maps along."""
-    ginv = mat_inverse(L.gram)
-    gens = matmul(ginv, L.gens) if L.gens is not None else None
-    return Lattice(ginv, gens=gens, scale_sq=L.scale_sq, name=f"{L.name}*" if L.name else "")
-
-
 def even_sublattice(L: Lattice) -> Lattice:
     """Even vectors of an odd integral lattice (index 2).
 
@@ -180,14 +173,8 @@ def shadow_cosets(L: Lattice) -> tuple[Coset, Coset]:
     n = L.dim
     G = [[int(x) for x in row] for row in L.gram]
     w = solve_mod2(G, [G[i][i] % 2 for i in range(n)])
-    E = _even_coords(L)
-    L0 = Lattice(
-        matmul(matmul(E, L.gram), transpose(E)),
-        gens=matmul(E, L.gens) if L.gens is not None else None,
-        scale_sq=L.scale_sq,
-        name=f"{L.name}_0" if L.name else "",
-    )
-    Einv = mat_inverse(E)
+    L0 = even_sublattice(L)
+    Einv = mat_inverse(_even_coords(L))
     half_w = [Fraction(x, 2) for x in w]
     p = next(i for i in range(n) if L.gram[i][i] % 2 == 1)
     x0 = [Fraction(1) if i == p else Fraction(0) for i in range(n)]
@@ -239,14 +226,13 @@ def _reduced_data(L: Lattice):
     """
     if L._reduced is not None:
         return L._reduced
-    dens = [x.denominator for row in L.gram for x in row]
-    dmul = lcm(*dens) if dens else 1
+    dmul = lcm(*[x.denominator for row in L.gram for x in row])
     gint = [[int(x * dmul) for x in row] for row in L.gram]
     gred, U = lll_reduce_gram(gint)
     gred = [[int(x) for x in row] for row in gred]
     d, lam = integral_gso(gred)
     pairs = [(d[i - 1] if i else 1) * d[i] for i in range(len(d))]
-    M = lcm(*pairs) if pairs else 1
+    M = lcm(*pairs)
     m = [M // p for p in pairs]
     Uinv = [[int(x) for x in row] for row in mat_frac(mat_inverse(U))]
     L._reduced = (dmul, U, Uinv, d, lam, m, M)
@@ -276,7 +262,7 @@ def _enum(target, max_norm, collect=False, first_only=False):
     dmul, U, Uinv, d, lam, m, M = _reduced_data(L)
     # offset in reduced coordinates; delta clears its denominators
     t_red = vecmat(coset.offset, Uinv)
-    delta = lcm(*[x.denominator for x in t_red]) if n else 1
+    delta = lcm(*[x.denominator for x in t_red])
     s = [int(x * delta) for x in t_red]
     # when -t = t mod Z^n, walk one of each +/- pair and double the count
     sym = all((2 * si) % delta == 0 for si in s)
@@ -335,10 +321,7 @@ def _enum(target, max_norm, collect=False, first_only=False):
                 return
             wj += delta
 
-    if n > 0:
-        level(n - 1, [0] * n, top, sym, 0)
-    elif max_norm >= 0:
-        counts[0] = 1
+    level(n - 1, [0] * n, top, sym, 0)
     return counts, vecs, M * dmul * delta * delta
 
 
@@ -384,11 +367,25 @@ def min_norm(L: Lattice) -> Fraction:
     return min(nz)
 
 
+def has_vector_below(L: Lattice, mu) -> bool:
+    """True when some nonzero vector of L has norm < mu.
+
+    Every norm is an integer combination of the G_ii and 2 G_ij, so a
+    multiple of their rational gcd g; the walk stops at the largest
+    multiple of g below mu.
+    """
+    entries = [L.gram[i][i] for i in range(L.dim)] + [
+        2 * L.gram[i][j] for i in range(L.dim) for j in range(i)]
+    g = Fraction(gcd(*[x.numerator for x in entries]),
+                 lcm(*[x.denominator for x in entries]))
+    radius = g * (-(-Fraction(mu) // g) - 1)
+    return any(k > 0 for k in enumerate_short(L, radius))
+
+
 def verify_min_norm(L: Lattice, mu) -> bool:
     """Certify min(L) = mu: no nonzero vector below mu, one at mu."""
     mu = Fraction(mu)
-    below = enumerate_short(L, mu - Fraction(1, 4))
-    if any(k > 0 for k in below):
+    if has_vector_below(L, mu):
         return False
     hit = find_any(L, mu)
     return hit is not None and hit[0] == mu
@@ -400,7 +397,8 @@ def theta_by_enumeration(L, max_norm: int) -> QSeries:
     terms = {}
     for norm, cnt in counts.items():
         e = norm * 4
-        assert e.denominator == 1, f"norm {norm} not on the quarter grid"
+        if e.denominator != 1:
+            raise ValueError(f"norm {norm} is not on the quarter grid")
         terms[int(e)] = Fraction(cnt)
     return QSeries(terms, 4 * int(max_norm) + 1)
 

@@ -9,7 +9,7 @@ unimodular transform), and row-style Hermite normal form over Z.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def identity(n: int) -> list[list[int]]:
@@ -272,10 +272,3 @@ def parity_kernel_basis(parity, n):
         rows.append(e)
     return rows
 
-
-def primitive_part(v):
-    """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return list(v) if g in (0, 1) else [x // g for x in v]

@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-Rat = Fraction
-
 
 def rat_str(x) -> str:
     """Render an exact rational as 'p' or 'p/q'."""
@@ -82,10 +80,6 @@ class QSeries:
     def one(trunc: int) -> "QSeries":
         return QSeries({0: 1}, trunc)
 
-    @staticmethod
-    def monomial(e: int, c, trunc: int) -> "QSeries":
-        return QSeries({e: c}, trunc)
-
     # -- inspection -------------------------------------------------------
 
     def coeff(self, e: int) -> Fraction:
@@ -104,14 +98,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def integer_coeffs(self, upto: int | None = None) -> list[Fraction]:
-        """Coefficients at integer exponents 0..upto (default: all known)."""
-        if upto is None:
-            upto = (self.trunc - 1) // 4
-        if 4 * upto >= self.trunc:
-            raise ValueError(f"exponent {upto} is beyond truncation")
-        return [self.terms.get(4 * m, Fraction(0)) for m in range(upto + 1)]
 
     # -- ring operations --------------------------------------------------
 
@@ -166,11 +152,9 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = QSeries.one(self.trunc if k == 0 else self.trunc)
+        result = QSeries.one(self.trunc)
         base = self
         # binary powering; truncation propagates through each product
         while k:
@@ -180,29 +164,6 @@ class QSeries:
             if k:
                 base = base * base
         return result
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires constant term exactly 1."""
-        c0 = self.terms.get(0)
-        if c0 is None:
-            raise ValueError("not invertible at this order")
-        if c0 != 1:
-            raise ValueError(f"inversion requires constant term 1, got {c0}")
-        t = self.trunc
-        inv = {0: Fraction(1)}
-        # b_e = -sum_{0<i<=e} a_i b_{e-i}, running over stored exponents only
-        tail = [(e, c) for e, c in self.terms.items() if e > 0]
-        for e in range(1, t):
-            s = Fraction(0)
-            for i, c in tail:
-                if i > e:
-                    break
-                b = inv.get(e - i)
-                if b is not None:
-                    s -= c * b
-            if s:
-                inv[e] = s
-        return QSeries(inv, t)
 
     def truncate(self, t: int) -> "QSeries":
         """Forget coefficients at exponents >= t (cannot extend knowledge)."""
@@ -274,6 +235,17 @@ class QSeries:
     @staticmethod
     def from_json_dict(d: dict) -> "QSeries":
         return QSeries([(int(e), parse_rat(c)) for e, c in d["den4"]], int(d["trunc"]))
+
+
+def combine(coeffs, basis) -> QSeries:
+    """sum_j coeffs[j] * basis[j], known up to the basis truncation."""
+    if len(coeffs) != len(basis):
+        raise ValueError("expected %d coefficients" % len(basis))
+    acc = QSeries.zero(min(b.trunc for b in basis))
+    for a, b in zip(coeffs, basis):
+        if a:
+            acc = acc + b * Fraction(a)
+    return acc
 
 
 # -- classical series --------------------------------------------------------

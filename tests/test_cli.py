@@ -156,3 +156,29 @@ def test_cli_error_paths(capsys):
     assert code == 2 and "unknown code" in err
     code, _, err = run(capsys, "theta", "--lattice", "code:nosuch", "--max-norm", "1")
     assert code == 2
+
+
+def _gram_file(tmp_path, gram):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": len(gram), "gram": gram}))
+    return str(path)
+
+
+_I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("argv, gram, status", [
+    (["construct", "shave", "--lattice", "{file}", "--vector", "1,1,1,1"], _I4, 0),
+    (["construct", "glue", "--base", "{file}", "--images", "1,2,4,8"], _I4, 0),
+    (["verify", "--lattice", "z0"], None, 2),
+    (["theta", "--lattice", "{file}", "--max-norm", "2"], [[1, 0], [0, "7/8"]], 2),
+])
+def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
+    if gram is not None:
+        path = _gram_file(tmp_path, gram)
+        argv = [path if a == "{file}" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == status
+    if status == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err

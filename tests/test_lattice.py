@@ -11,10 +11,10 @@ from unimodular.lattice import (
     Coset,
     Lattice,
     check_unimodular,
-    dual,
     enumerate_short,
     even_sublattice,
     find_any,
+    has_vector_below,
     lattice_from_json_dict,
     lattice_to_json_dict,
     min_norm,
@@ -141,6 +141,26 @@ def test_find_any_and_min_norm():
         assert not verify_min_norm(L, mu - Fraction(1, 2))
 
 
+def test_min_norm_checks_off_the_quarter_grid():
+    # diag(1, 7/8) has minimum 7/8, which lies within 1/4 below mu = 1
+    L = Lattice([[1, 0], [0, Fraction(7, 8)]])
+    brute = _brute_counts(L, 1)
+    assert min(k for k in brute if k > 0) == Fraction(7, 8)
+    assert not verify_min_norm(L, 1)
+    assert verify_min_norm(L, Fraction(7, 8))
+    # has_vector_below agrees with the box count on scaled lattices whose
+    # norm steps are off the quarter grid
+    rng = random.Random(78)
+    for scale in (Fraction(7, 8), Fraction(2, 3), Fraction(5, 7), Fraction(3)):
+        base = _random_skewed_lattice(rng, rng.randrange(1, 4))
+        L = Lattice([[scale * x for x in row] for row in base.gram])
+        brute = _brute_counts(L, 10 * scale)
+        norms = sorted(k for k in brute if k > 0)
+        for mu in norms + [k + Fraction(1, 10) for k in norms]:
+            assert has_vector_below(L, mu) == (norms[0] < mu)
+        assert verify_min_norm(L, norms[0])
+
+
 def test_find_any_skips_zero_in_shifted_coset():
     c = Coset(zn(2), [Fraction(1, 2), Fraction(0)])
     norm, x = find_any(c, 3)
@@ -174,16 +194,6 @@ def test_check_unimodular_rejections():
     assert check_unimodular(Lattice([[Fraction(1, 2)]])).startswith(
         "not-unimodular(non-integral"
     )
-
-
-def test_dual_involution():
-    L = _random_skewed_lattice(random.Random(8), 3)
-    D = dual(L)
-    assert D.gram == mat_inverse(L.gram)
-    assert dual(D).gram == L.gram
-    assert D.det() * L.det() == 1
-    # unimodular lattices are self-dual
-    assert dual(zn(5)).gram == zn(5).gram
 
 
 def test_even_sublattice_index_two():
@@ -230,6 +240,8 @@ def test_lattice_constructor_guards():
         Lattice([[2, 0], [0, 1]], gens=[[1, 0], [0, 1]])  # gram mismatch
     with pytest.raises(ValueError):
         Lattice([[1]], scale_sq=0)
+    with pytest.raises(ValueError):
+        Lattice([])  # dimension 0
 
 
 def test_json_round_trip():

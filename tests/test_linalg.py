@@ -20,7 +20,6 @@ from unimodular.linalg import (
     matmul,
     matvec,
     parity_kernel_basis,
-    primitive_part,
     transpose,
 )
 
@@ -210,12 +209,6 @@ def test_parity_kernel_basis_index():
         assert d == (2 if any(parity) else 1)
         for row in basis:
             assert sum(p * x for p, x in zip(parity, row)) % 2 == 0
-
-
-def test_primitive_part():
-    assert primitive_part([4, -6, 8]) == [2, -3, 4]
-    assert primitive_part([0, 0]) == [0, 0]
-    assert primitive_part([3, 5]) == [3, 5]
 
 
 def test_is_integer_matrix():
