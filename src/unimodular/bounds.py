@@ -581,6 +581,9 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
             del assignment[j]
 
     resolve(len(free) - 1, {}, shadow_fixed0, theta_fixed0)
+    # resolve refers to itself through its closure cell; drop that cycle so
+    # the branches are freed with the report, without the cyclic collector
+    del resolve
 
     if overflow:
         return FeasibilityReport(

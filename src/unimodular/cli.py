@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds, codes, constructions, genus
 from .lattice import (
@@ -156,6 +155,7 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    expected = parse_rat(args.min) if args.min is not None else None
     L = _load_lattice(args.lattice)
     kind = check_unimodular(L)
     if kind not in ("odd", "even"):
@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
     mu = min_norm(L)
     print("%s: %s unimodular, dim %d, minimal norm %s"
           % (L.name or args.lattice, kind, L.dim, rat_str(mu)))
-    if args.min is not None and mu != Fraction(args.min):
+    if expected is not None and mu != expected:
         print("FAIL: expected minimal norm %s" % args.min)
         return 2
     return 0

@@ -21,11 +21,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lattice import Lattice, enumerate_short, has_vector_below, min_norm
-from .linalg import det_bareiss, hnf_rows, hnf_rows_frac, matmul, parity_kernel_basis
+from .linalg import (
+    det_bareiss,
+    hnf_rows,
+    hnf_rows_frac,
+    matmul,
+    parity_kernel_basis,
+    transpose,
+)
+
+if TYPE_CHECKING:  # numpy is imported where the glue search needs it
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +58,7 @@ def a15_plus_fixture() -> Lattice:
     rows.append(glue)
     basis = hnf_rows_frac(rows)
     assert len(basis) == 15
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in basis] for r1 in basis]
+    gram = matmul(basis, transpose(basis))
     return Lattice(gram, gens=basis, scale_sq=1, name="A15+")
 
 
@@ -70,7 +79,7 @@ def d16_plus_fixture() -> Lattice:
     rows.append([Fraction(1, 2)] * 16)
     basis = hnf_rows_frac(rows)
     assert len(basis) == 16
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in basis] for r1 in basis]
+    gram = matmul(basis, transpose(basis))
     return Lattice(gram, gens=basis, scale_sq=1, name="D16+")
 
 
@@ -89,6 +98,8 @@ def _int_gram(L: Lattice) -> list[list[int]]:
 
 def _parity(arr: np.ndarray) -> np.ndarray:
     """Parity of the popcount of each entry (entries < 2^32)."""
+    import numpy as np
+
     v = arr.astype(np.int64)
     for k in (16, 8, 4, 2, 1):
         v ^= v >> k
@@ -106,6 +117,8 @@ class _Mod2Space:
     """
 
     def __init__(self, L: Lattice):
+        import numpy as np
+
         g = _int_gram(L)
         m = L.dim
         self.m = m
@@ -141,6 +154,8 @@ class _Mod2Space:
 
     def images_all(self, sigma_e: list[int]) -> np.ndarray:
         """sigma applied to every class, by subset-xor doubling."""
+        import numpy as np
+
         size = 1 << self.m
         img = np.zeros(size, dtype=np.int64)
         for i in range(self.m):
@@ -184,6 +199,8 @@ def _coset_minima(L: Lattice, cutoff: int, cap: int) -> np.ndarray:
     minimum.  The zero class is capped too: its true minimum 4*min(L) is
     accounted for separately by the doubled base lattice.
     """
+    import numpy as np
+
     assert cap <= cutoff + 1
     g = np.array(_int_gram(L), dtype=np.int64)
     _, vecs = enumerate_short(L, cutoff, collect=True)
@@ -221,6 +238,8 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
     with t_v, v = sigma(u) xor y, whenever that v is an admissible
     transvection.  Returns None if every restart stalls.
     """
+    import numpy as np
+
     space = _Mod2Space(L)
     m = space.m
     mu = int(min_norm(L))
@@ -329,23 +348,14 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     basis = hnf_rows(rows)
     assert len(basis) == 2 * m
     assert abs(det_bareiss(basis)) == 1 << m  # index of the doubled base
-    big = _blockdiag2(L.gram)
     half = Fraction(1, 2)
-    bg = matmul([[Fraction(x) for x in row] for row in basis], big)
-    gram = [[half * sum(a * b for a, b in zip(r1, r2)) for r2 in basis]
-            for r1 in bg]
+    metric = _blockdiag2([[half * x for x in row] for row in L.gram])
+    gram = matmul(matmul(basis, metric), transpose(basis))
     gens = None
     if L.gens is not None:
-        gens = []
-        for row in basis:
-            left = [Fraction(0)] * len(L.gens[0])
-            right = [Fraction(0)] * len(L.gens[0])
-            for j in range(m):
-                if row[j]:
-                    left = [a + row[j] * b for a, b in zip(left, L.gens[j])]
-                if row[m + j]:
-                    right = [a + row[m + j] * b for a, b in zip(right, L.gens[j])]
-            gens.append(left + right)
+        left = matmul([row[:m] for row in basis], L.gens)
+        right = matmul([row[m:] for row in basis], L.gens)
+        gens = [a + b for a, b in zip(left, right)]
     return Lattice(gram, gens=gens, scale_sq=L.scale_sq * half,
                    name=name or "double(%s)" % (L.name or "L"))
 
@@ -379,11 +389,10 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
         rows.append([Fraction(x) - coeff * w for x, w in zip(krow, v)])
     basis = hnf_rows_frac(rows)
     assert len(basis) == n - 1
-    bg = matmul(basis, L.gram)
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in basis] for r1 in bg]
+    gram = matmul(matmul(basis, L.gram), transpose(basis))
     gens = None
     if L.gens is not None:
-        gens = matmul(basis, [[Fraction(x) for x in row] for row in L.gens])
+        gens = matmul(basis, L.gens)
     return Lattice(gram, gens=gens, scale_sq=L.scale_sq,
                    name=name or "shave(%s)" % (L.name or "L"))
 

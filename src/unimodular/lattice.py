@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import (
+    clear_denominators,
     det_frac,
     identity,
     integral_gso,
@@ -220,21 +221,18 @@ def _reduced_data(L: Lattice):
 
     Returns (dmul, U, Uinv, d, lam, m, M): dmul clears denominators of the
     Gram matrix, U is the reduction transform (rows of the reduced basis in
-    original coordinates), d/lam the fraction-free Gram-Schmidt table of the
-    reduced integer Gram, m[i] = M / (d[i-1] d[i]) for the common budget
-    denominator M.
+    original coordinates) and Uinv its inverse, d/lam the fraction-free
+    Gram-Schmidt table of the reduced integer Gram, m[i] = M / (d[i-1] d[i])
+    for the common budget denominator M.
     """
     if L._reduced is not None:
         return L._reduced
-    dmul = lcm(*[x.denominator for row in L.gram for x in row])
-    gint = [[int(x * dmul) for x in row] for row in L.gram]
-    gred, U = lll_reduce_gram(gint)
-    gred = [[int(x) for x in row] for row in gred]
+    dmul, gint = clear_denominators(L.gram)
+    gred, U, Uinv = lll_reduce_gram(gint)
     d, lam = integral_gso(gred)
     pairs = [(d[i - 1] if i else 1) * d[i] for i in range(len(d))]
     M = lcm(*pairs)
     m = [M // p for p in pairs]
-    Uinv = [[int(x) for x in row] for row in mat_frac(mat_inverse(U))]
     L._reduced = (dmul, U, Uinv, d, lam, m, M)
     return L._reduced
 
@@ -261,9 +259,7 @@ def _enum(target, max_norm, collect=False, first_only=False):
     max_norm = Fraction(max_norm)
     dmul, U, Uinv, d, lam, m, M = _reduced_data(L)
     # offset in reduced coordinates; delta clears its denominators
-    t_red = vecmat(coset.offset, Uinv)
-    delta = lcm(*[x.denominator for x in t_red])
-    s = [int(x * delta) for x in t_red]
+    delta, (s,) = clear_denominators([vecmat(coset.offset, Uinv)])
     # when -t = t mod Z^n, walk one of each +/- pair and double the count
     sym = all((2 * si) % delta == 0 for si in s)
     top = int(max_norm * dmul * delta * delta * M)
@@ -274,22 +270,29 @@ def _enum(target, max_norm, collect=False, first_only=False):
     w = [0] * n
     lam_rows = [lam[j][:j] for j in range(n)]
     stop = []
+    # when collecting, xo[j] holds the original-basis coordinates of the
+    # part x_red[j:] . U[j:] fixed above level j, so each vector costs O(n);
+    # a mirror vector is -x - (2s/delta) . U
+    xo = [None] * n + [[0] * n]
+    shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
 
     def emit(wj, U_tot, mult):
         counts[U_tot] = counts.get(U_tot, 0) + mult
         if vecs is None:
             return
-        if first_only and U_tot == 0:
+        if collect:
+            q = (wj - s[0]) // delta
+            v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
+            vecs.append(v)
+            if mult == 2:
+                vecs.append(tuple([-a - b for a, b in zip(v, shift)]))
+            return
+        if U_tot == 0:
             return
         w[0] = wj
         x_red = [(wi - si) // delta for wi, si in zip(w, s)]
-        vecs.append(tuple(int(v) for v in vecmat(x_red, U)))
-        if first_only:
-            stop.append(True)
-            return
-        if mult == 2:
-            xm_red = [(-wi - si) // delta for wi, si in zip(w, s)]
-            vecs.append(tuple(int(v) for v in vecmat(xm_red, U)))
+        vecs.append(tuple(vecmat(x_red, U)))
+        stop.append(True)
 
     def level(j, cacc, rem, zero_pref, acc):
         c = cacc[j]
@@ -311,10 +314,14 @@ def _enum(target, max_norm, collect=False, first_only=False):
                 wj += delta
             return
         lamj = lam_rows[j]
+        Uj, xup, sj = U[j], xo[j + 1], s[j]
         while wj <= hi:
             Z = dj * wj + c
             u = mj * Z * Z
             w[j] = wj
+            if collect:
+                q = (wj - sj) // delta
+                xo[j] = [a + q * b for a, b in zip(xup, Uj)]
             child = [cacc[i] + lamj[i] * wj for i in range(j)]
             level(j - 1, child, rem - u, zero_pref and wj == 0, acc + u)
             if stop:

@@ -2,14 +2,16 @@
 
 Matrices are lists of row lists.  Everything here is fraction-free or
 Fraction-exact: Bareiss determinants, integral Gram-Schmidt tables for
-enumeration, rational LLL reduction acting on Gram matrices (tracking the
-unimodular transform), and row-style Hermite normal form over Z.
+enumeration, integral LLL reduction acting on Gram matrices (tracking the
+unimodular transform and its inverse), and row-style Hermite normal form
+over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def identity(n: int) -> list[list[int]]:
@@ -28,9 +30,24 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def clear_denominators(m) -> tuple[int, list[list[int]]]:
+    """(den, den * m) for a matrix of ints and Fractions, den the lcm of the
+    entries' denominators."""
+    den = lcm(*[x.denominator for row in m for x in row])
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
 def matmul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Exact product a b.  Integer input gives integers; rational input is
+    multiplied over the common denominator of each factor and divided once."""
+    if all(type(x) is int for m in (a, b) for row in m for x in row):
+        bt = transpose(b)
+        return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    da, ai = clear_denominators(a)
+    db, bi = clear_denominators(b)
+    bt = transpose(bi)
+    den = da * db
+    return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in ai]
 
 
 def matvec(m, v):
@@ -101,9 +118,7 @@ def det_frac(m) -> Fraction:
     n = len(m)
     if n == 0:
         return Fraction(1)
-    mf = mat_frac(m)
-    d = lcm(*[x.denominator for row in mf for x in row]) if n else 1
-    mi = [[int(x * d) for x in row] for row in mf]
+    d, mi = clear_denominators(mat_frac(m))
     return Fraction(det_bareiss(mi), d ** n)
 
 
@@ -149,56 +164,56 @@ def integral_gso(g):
 def lll_reduce_gram(g, delta=Fraction(3, 4)):
     """LLL-reduce a positive definite rational Gram matrix.
 
-    Returns (g_red, u) with g_red = u g u^T and u unimodular over Z.  Works on
-    the Gram matrix alone (no coordinates needed); exact rational arithmetic.
+    Returns (g_red, u, u_inv) with g_red = u g u^T, u unimodular over Z and
+    u_inv its inverse.  Works on the Gram matrix alone (no coordinates
+    needed).  This is Cohen's integral LLL (A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7): after clearing denominators the
+    fraction-free Gram-Schmidt data d/lam of `integral_gso` is updated in
+    place by each size reduction and swap.  Row k is size-reduced against
+    rows k-1, ..., 0 (rounding half to even) before the Lovasz test
+    d_k d_{k-2} + lam^2 >= delta d_{k-1}^2.  Raises ValueError unless g is
+    positive definite.
     """
     n = len(g)
-    g = mat_frac(g)
+    d, lam = integral_gso(clear_denominators(g)[1])
+    dd = [1] + d  # dd[i + 1] = d_i, dd[0] = d_{-1} = 1
     u = identity(n)
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            bstar[i] = g[i][i]
-            for j in range(i):
-                s = g[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
-                mu[i][j] = s / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-            if bstar[i] <= 0:
-                raise ValueError("matrix is not positive definite")
-        return mu, bstar
-
-    def row_op(i, q, j):
-        # b_i <- b_i - q b_j, applied to gram and transform
-        for k in range(n):
-            u[i][k] -= q * u[j][k]
-        for k in range(n):
-            g[i][k] -= q * g[j][k]
-        for k in range(n):
-            g[k][i] -= q * g[k][j]
-
-    def swap(i, j):
-        u[i], u[j] = u[j], u[i]
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-
-    mu, bstar = gso()
+    vt = identity(n)  # transpose of u^-1: a row op on u is a column op on u^-1
+    delta = Fraction(delta)
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = round(mu[k][j])
-                row_op(k, q, j)
-                mu, bstar = gso()
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            if 2 * abs(lk[j]) > dd[j + 1]:
+                q = round(Fraction(lk[j], dd[j + 1]))
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                vt[j] = [a + q * b for a, b in zip(vt[j], vt[k])]
+                lk[j] -= q * dd[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        r = lk[k - 1]
+        if (dd[k + 1] * dd[k - 1] + r * r) * delta.denominator \
+                >= delta.numerator * dd[k] * dd[k]:
             k += 1
-        else:
-            swap(k, k - 1)
-            mu, bstar = gso()
-            k = max(k - 1, 1)
-    return g, u
+            continue
+        # swap rows k-1 and k
+        u[k], u[k - 1] = u[k - 1], u[k]
+        vt[k], vt[k - 1] = vt[k - 1], vt[k]
+        lk1 = lam[k - 1]
+        for i in range(k - 1):
+            lk[i], lk1[i] = lk1[i], lk[i]
+        dk1, dk = dd[k], dd[k + 1]
+        b = (dd[k - 1] * dk + r * r) // dk1
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk * li[k - 1] - r * t) // dk1
+            li[k - 1] = (b * t + r * li[k]) // dk
+        dd[k] = b
+        k = max(k - 1, 1)
+    g_red = matmul(matmul(u, g), transpose(u))
+    return g_red, u, transpose(vt)
 
 
 def hnf_rows(rows):
@@ -244,8 +259,7 @@ def hnf_rows_frac(rows):
     rows = [list(map(Fraction, r)) for r in rows]
     if not rows:
         return []
-    d = lcm(*[x.denominator for r in rows for x in r])
-    scaled = [[int(x * d) for x in r] for r in rows]
+    d, scaled = clear_denominators(rows)
     return [[Fraction(x, d) for x in r] for r in hnf_rows(scaled)]
 
 

@@ -31,7 +31,10 @@ def parse_rat(s) -> Fraction:
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % s) from None
 
 
 def _monomial_str(e: int) -> str:

@@ -1,5 +1,7 @@
 """Feasibility scanner: prefix fits, obstructions, scans, certified bounds."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,19 @@ def test_scan_dim9_noninteger_shadow():
     assert b.theta.coeff(8) == 252
     assert b.shadow.valuation() == 1 and b.shadow.coeff(1) == Fraction(9, 4)
     assert "9/4" in b.detail
+
+
+def test_scan_branches_freed_without_cyclic_collector():
+    # dropping the report frees its branches by reference counting alone
+    gc.disable()
+    try:
+        report = feasibility_scan(23, 2)
+        assert report.branches
+        ref = weakref.ref(report.branches[0])
+        del report
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_scan_dim33_branch_kill_reasons():

@@ -1,9 +1,13 @@
 """CLI wiring: every subcommand, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import unimodular
 from unimodular.cli import main
 from unimodular.lattice import lattice_from_json_dict
 
@@ -172,6 +176,9 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["construct", "glue", "--base", "{file}", "--images", "1,2,4,8"], _I4, 0),
     (["verify", "--lattice", "z0"], None, 2),
     (["theta", "--lattice", "{file}", "--max-norm", "2"], [[1, 0], [0, "7/8"]], 2),
+    (["verify", "--lattice", "z1", "--min", "1/0"], None, 2),
+    (["verify", "--lattice", "{file}"], [["1/0"]], 2),
+    (["genus-bound", "--dim", "33", "--mass", "1/0"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
@@ -182,3 +189,18 @@ def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if status == 2:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+def test_numpy_is_imported_only_by_the_glue_search():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(unimodular.__file__)))
+    script = (
+        "import sys, unimodular\n"
+        "assert 'numpy' not in sys.modules, 'import unimodular'\n"
+        "from unimodular.cli import main\n"
+        "assert main(['bound', '--dim', '9', '--mu', '2']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'unimod bound'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -28,8 +28,10 @@ from unimodular.linalg import hnf_rows_frac, mat_inverse, matmul, transpose
 from unimodular.qseries import theta2
 
 
-def _brute_counts(target, max_norm):
-    """Complete search over an exact box: (x_i + t_i)^2 <= (G^-1)_ii * R."""
+def _brute_vectors(target, max_norm):
+    """Complete search over an exact box: (x_i + t_i)^2 <= (G^-1)_ii * R.
+
+    Returns (x, norm) for every integer x with |x + t|^2 <= R."""
     if isinstance(target, Coset):
         base, off = target.base, target.offset
     else:
@@ -46,12 +48,19 @@ def _brute_counts(target, max_norm):
         lo = math.floor(center) - b
         hi = math.ceil(center) + b
         axes.append(range(lo, hi + 1))
-    counts = {}
+    found = []
     for x in itertools.product(*axes):
         v = [Fraction(c) + t for c, t in zip(x, off)]
         norm = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
         if norm <= R:
-            counts[norm] = counts.get(norm, 0) + 1
+            found.append((x, norm))
+    return found
+
+
+def _brute_counts(target, max_norm):
+    counts = {}
+    for _, norm in _brute_vectors(target, max_norm):
+        counts[norm] = counts.get(norm, 0) + 1
     return counts
 
 
@@ -125,6 +134,26 @@ def test_collect_returns_matching_vectors():
     for v in vecs:
         tally[L.norm_of(v)] = tally.get(L.norm_of(v), 0) + 1
     assert tally == counts
+
+
+def test_collect_on_cosets_matches_brute_force():
+    # symmetric cosets (-t = t mod Z^n) take the mirror path, the last one
+    # through a nontrivial reduction transform; the others do not
+    rng = random.Random(2024)
+    skewed = _random_skewed_lattice(rng, 3)
+    cosets = [
+        (Coset(zn(3), [Fraction(1, 2)] * 3), 3),
+        (Coset(zn(4), [Fraction(1, 2)] * 4), 3),
+        (Coset(skewed, [Fraction(1, 2), 0, Fraction(1, 2)]), 6),
+        (Coset(zn(3), [Fraction(1, 3), 0, Fraction(1, 2)]), 3),
+        (Coset(skewed, [Fraction(1, 3), Fraction(-1, 2), Fraction(2, 3)]), 6),
+    ]
+    for c, R in cosets:
+        counts, vecs = enumerate_short(c, R, collect=True)
+        brute = _brute_vectors(c, R)
+        assert sorted(vecs) == sorted(x for x, _ in brute)
+        assert sorted(c.norm_of(x) for x in vecs) == sorted(n for _, n in brute)
+        assert counts == _brute_counts(c, R)
 
 
 def test_find_any_and_min_norm():

@@ -118,6 +118,23 @@ def test_mat_inverse_round_trip():
 # Gram-matrix tools
 
 
+def _rational_gso(g):
+    """(mu, bstar) of a Gram matrix in Fractions; ValueError unless
+    positive definite."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for i in range(n):
+        bstar[i] = Fraction(g[i][i])
+        for j in range(i):
+            s = g[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
+            mu[i][j] = s / bstar[j]
+            bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        if bstar[i] <= 0:
+            raise ValueError("matrix is not positive definite")
+    return mu, bstar
+
+
 def test_gram_minors_positive_definite_gate():
     rng = random.Random(5)
     g = _random_pd_gram(rng, 4)
@@ -136,17 +153,63 @@ def test_integral_gso_consistency():
         d, lam = integral_gso(g)
         assert d == gram_minors(g)
         # lam[i][j] = d[j] * mu_ij; recompute mu from a rational GSO
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            bstar[i] = Fraction(g[i][i])
-            for j in range(i):
-                s = g[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
-                mu[i][j] = s / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        mu, _ = _rational_gso(g)
         for i in range(n):
             for j in range(i):
                 assert lam[i][j] == d[j] * mu[i][j]
+
+
+def _lll_reference(g, delta=Fraction(3, 4)):
+    """Rational LLL that recomputes the whole Gram-Schmidt table after
+    every step: slow, but independent of the integral update formulas."""
+    n = len(g)
+    g = [[Fraction(x) for x in row] for row in g]
+    u = identity(n)
+
+    def row_op(i, q, j):
+        # b_i <- b_i - q b_j, applied to gram and transform
+        for k in range(n):
+            u[i][k] -= q * u[j][k]
+        for k in range(n):
+            g[i][k] -= q * g[j][k]
+        for k in range(n):
+            g[k][i] -= q * g[k][j]
+
+    def swap(i, j):
+        u[i], u[j] = u[j], u[i]
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+
+    mu, bstar = _rational_gso(g)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                row_op(k, round(mu[k][j]), j)
+                mu, bstar = _rational_gso(g)
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            swap(k, k - 1)
+            mu, bstar = _rational_gso(g)
+            k = max(k - 1, 1)
+    return g, u
+
+
+def _random_rational_gram(rng, n):
+    """B B^T for a random nonsingular rational B."""
+    while True:
+        b = [[Fraction(rng.randrange(-4, 5), rng.choice((1, 2, 3, 4, 6)))
+              for _ in range(n)] for _ in range(n)]
+        if det_frac(b):
+            return matmul(b, transpose(b))
+
+
+def _sheared(rng, g):
+    """u g u^T for a random unimodular u: hides the short basis."""
+    u = _random_unimodular(rng, len(g))
+    return matmul(matmul(u, g), transpose(u))
 
 
 def test_lll_reduce_gram_invariants():
@@ -154,15 +217,51 @@ def test_lll_reduce_gram_invariants():
     for _ in range(10):
         n = rng.randrange(2, 6)
         g0 = _random_pd_gram(rng, n)
-        # shear by a random unimodular matrix to hide the short basis
-        u0 = _random_unimodular(rng, n)
-        g = matmul(matmul(u0, g0), transpose(u0))
-        g_red, u = lll_reduce_gram(g)
+        g = _sheared(rng, g0)
+        g_red, u, u_inv = lll_reduce_gram(g)
         assert abs(det_bareiss(u)) == 1
         assert matmul(matmul(u, [[Fraction(x) for x in r] for r in g]), transpose(u)) == g_red
         assert det_frac(g_red) == det_frac(g)
         # reduction never increases the smallest diagonal entry
         assert min(r[i] for i, r in enumerate(g_red)) <= min(r[i] for i, r in enumerate(g))
+
+
+def test_lll_reduce_gram_matches_rational_reference():
+    rng = random.Random(71)
+    delta = Fraction(3, 4)
+    for trial in range(50):
+        n = rng.randrange(2, 9)
+        if trial % 2:
+            g = _sheared(rng, _random_rational_gram(rng, n))
+        else:
+            g = _sheared(rng, _random_pd_gram(rng, n))
+        g_red, u, u_inv = lll_reduce_gram(g)
+        assert (g_red, u) == _lll_reference(g)
+        assert matmul(u, u_inv) == identity(n)
+        # size-reduced and Lovasz, checked on a rational Gram-Schmidt table
+        mu, bstar = _rational_gso(g_red)
+        for i in range(n):
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+        for k in range(1, n):
+            assert bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]
+
+
+def test_lll_reduce_gram_rejects_indefinite():
+    for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]],
+              [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]):
+        with pytest.raises(ValueError):
+            lll_reduce_gram(g)
+
+
+def test_matmul_exact_types():
+    a = [[1, 2], [3, 4]]
+    assert matmul(a, a) == [[7, 10], [15, 22]]
+    assert all(type(x) is int for row in matmul(a, a) for x in row)
+    b = [[Fraction(1, 2), Fraction(2, 3)], [Fraction(-3, 4), 5]]
+    naive = [[sum(x * y for x, y in zip(row, col)) for col in transpose(b)] for row in a]
+    assert matmul(a, b) == naive
+    assert all(isinstance(x, Fraction) for row in matmul(a, b) for x in row)
 
 
 # ---------------------------------------------------------------------------
