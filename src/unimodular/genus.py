@@ -52,17 +52,18 @@ class AverageTheta:
 def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> AverageTheta:
     """Determine the c_j and the exact average theta series for dimension n.
 
-    Unknowns c_0..c_m (m = [n/4]) against the m+1 equations alpha_0 = 0,
-    alpha_(4i) = 2^(n-2) alpha_i for i = 1..m-1, and constant term 1.
-    `verify_extra` surplus relations (i = m, m+1, ...) are checked after
+    Unknowns c_0..c_m (m = [n/4]) against the m+2 equations alpha_0 = 0,
+    alpha_(4i) = 2^(n-2) alpha_i for i = 1..m, and constant term 1.  For
+    n = 4 (mod 8) the relations i < m are dependent and i = m restores
+    full rank; for other n it is one more row the solution must satisfy.
+    `verify_extra` surplus relations (i = m+1, m+2, ...) are checked after
     solving; they must hold automatically.
     """
     if n <= 4:
         raise ValueError("the average theta formula needs dimension > 4")
     m = n // 4
-    top_i = 4 * (m - 1 + verify_extra)
     if trunc is None:
-        trunc = 4 * top_i + 1
+        trunc = 16 * (m + verify_extra) + 1  # alpha_(4i) up to i = m + verify_extra
     t3n = theta3(trunc) ** n
     g = g2(trunc)
     h = h2(trunc)
@@ -76,24 +77,23 @@ def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> Average
     def alpha_row(i: int) -> list[Fraction]:
         return [b.coeff(4 * i) for b in basis]
 
-    rows = [alpha_row(0)]
-    rhs = [Fraction(0)]
     scale = Fraction(2) ** (n - 2)
-    for i in range(1, m):
-        a4 = alpha_row(4 * i)
-        a1 = alpha_row(i)
-        rows.append([x - scale * y for x, y in zip(a4, a1)])
-        rhs.append(Fraction(0))
+
+    def surplus_row(i: int) -> list[Fraction]:
+        return [x - scale * y for x, y in zip(alpha_row(4 * i), alpha_row(i))]
+
+    rows = [alpha_row(0)] + [surplus_row(i) for i in range(1, m + 1)]
+    rhs = [Fraction(0)] * (m + 1)
     # constant term of theta3^n sum c_j (g2^j + h2^j): g2^j kills j>=1,
     # h2^j contributes 1 for every j
     rows.append([Fraction(2)] + [Fraction(1)] * m)
     rhs.append(Fraction(1))
+    # full column rank; gauss_solve raises if the surplus row is not satisfied
     c = gauss_solve(rows, rhs)
 
-    for i in range(m, m + verify_extra):
-        a4 = sum(cc * x for cc, x in zip(c, alpha_row(4 * i)))
-        a1 = sum(cc * x for cc, x in zip(c, alpha_row(i)))
-        assert a4 == scale * a1, "surplus average-theta relation failed at i=%d" % i
+    for i in range(m + 1, m + 1 + verify_extra):
+        assert sum(cc * x for cc, x in zip(c, surplus_row(i))) == 0, (
+            "surplus average-theta relation failed at i=%d" % i)
 
     series = combine(c, [gp + hp for gp, hp in zip(gpow, hpow)])
     series = (t3n * series).truncate(trunc)

@@ -10,11 +10,13 @@ reduced, fraction-free Gram-Schmidt data turns the usual recursion into
 scaled big-integer arithmetic (isqrt bounds, no floating point), and coset
 offsets are handled by congruence-stepping the integer coordinates.  When a
 coset is fixed by negation, only canonical representatives are walked and
-counts are doubled.
+counts are doubled.  A walk that only counts stores the norm histogram of
+each subtree under an exact key and reuses it when the subtree repeats.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -245,13 +247,45 @@ def _as_coset(target) -> Coset:
     raise TypeError("expected a Lattice or Coset")
 
 
+#: most subtree histograms one count walk stores; past it the memo is
+#: dropped and the rest of the walk pushes its counts down as usual
+MEMO_LIMIT = 1024
+
+
+@dataclass
+class EnumStats:
+    """Work of one enumeration: nodes walked per level (empty ones are
+    skipped), and the count walk's subtree memo: lookups, hits, stored
+    histograms, and whether it was dropped at MEMO_LIMIT."""
+
+    nodes: list
+    lookups: int = 0
+    hits: int = 0
+    stored: int = 0
+    memo_off: bool = False
+
+
 def _enum(target, max_norm, collect=False, first_only=False):
     """Walk {x + t : x in Z^n, |x + t|^2 <= max_norm} exactly.
 
-    Returns (counts, vectors): counts maps scaled integer norms to vector
-    counts (scale M * dmul * delta^2), vectors (when requested) holds integer
-    coordinate rows x in the original basis, mirror pairs expanded.  With
-    first_only, stops at the first nonzero vector found.
+    Returns (counts, vectors, scale, stats): counts maps scaled integer
+    norms to vector counts (scale M * dmul * delta^2), vectors (when
+    requested) holds integer coordinate rows x in the original basis, mirror
+    pairs expanded, and stats is the walk's EnumStats.  With first_only,
+    stops at the first nonzero vector found.
+
+    In reduced coordinates w = delta * (x + t), so w_i = s_i (mod delta),
+    and level i contributes m_i * (d_i w_i + c_i)^2 with the centre
+    c_i = sum_{l > i} lam[l][i] w_l.  A count-only walk memoises subtree
+    histograms: below a node at level j, the histogram {norm of levels
+    <= j: count} depends only on c_0..c_j and the remaining budget, and
+    shifting w_j by delta * k is a bijection of the subtree that keeps every
+    partial norm while adding d_j delta k to c_j and lam[j][l] delta k to
+    each lower c_l.  Reducing c_j modulo d_j delta from the top level down,
+    correcting the lower centres as it goes, therefore names the subtree
+    exactly, and a repeated subtree adds its stored histogram shifted by
+    the norm above it.  Nodes on the zero prefix of a symmetric walk are
+    not memoised (their halving tests the real w = 0).
     """
     coset = _as_coset(target)
     L = coset.base
@@ -263,12 +297,16 @@ def _enum(target, max_norm, collect=False, first_only=False):
     # when -t = t mod Z^n, walk one of each +/- pair and double the count
     sym = all((2 * si) % delta == 0 for si in s)
     top = int(max_norm * dmul * delta * delta * M)
+    stats = EnumStats([0] * n)
     if top < 0:
-        return {}, ([] if collect or first_only else None), 1
+        return {}, ([] if collect or first_only else None), 1, stats
     counts: dict[int, int] = {}
     vecs = [] if (collect or first_only) else None
+    memo = {} if vecs is None else None
+    nodes = stats.nodes
     w = [0] * n
     lam_rows = [lam[j][:j] for j in range(n)]
+    period = [dj * delta for dj in d]
     stop = []
     # when collecting, xo[j] holds the original-basis coordinates of the
     # part x_red[j:] . U[j:] fixed above level j, so each vector costs O(n);
@@ -277,9 +315,6 @@ def _enum(target, max_norm, collect=False, first_only=False):
     shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
 
     def emit(wj, U_tot, mult):
-        counts[U_tot] = counts.get(U_tot, 0) + mult
-        if vecs is None:
-            return
         if collect:
             q = (wj - s[0]) // delta
             v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
@@ -294,42 +329,97 @@ def _enum(target, max_norm, collect=False, first_only=False):
         vecs.append(tuple(vecmat(x_red, U)))
         stop.append(True)
 
-    def level(j, cacc, rem, zero_pref, acc):
+    def memo_key(j, cent, rem):
+        cent = cent[:]
+        for i in range(j, 0, -1):
+            k, cent[i] = divmod(cent[i], period[i])
+            if k:
+                kd = k * delta
+                lami = lam_rows[i]
+                for l in range(i):
+                    cent[l] -= lami[l] * kd
+        cent[0] %= period[0]
+        cent.append(rem)
+        return tuple(cent)
+
+    def level(j, cacc, rem, zero_pref, acc, out, wj, hi):
+        # walks w_j = wj, wj + delta, ..., hi, pushing each vector's scaled
+        # norm plus acc into out
+        nonlocal memo
+        nodes[j] += 1
         c = cacc[j]
         dj, mj = d[j], m[j]
-        A = isqrt(rem // mj)
-        lo = -((A + c) // dj)
-        wj = lo + ((s[j] - lo) % delta)
-        if zero_pref:
-            wj = max(wj, s[j] % delta)
-        hi = (A - c) // dj
         if j == 0:
             while wj <= hi:
                 Z = dj * wj + c
-                u = mj * Z * Z
-                whole_zero = zero_pref and wj == 0
-                emit(wj, acc + u, 2 if sym and not whole_zero else 1)
-                if stop:
-                    return
+                u = acc + mj * Z * Z
+                mult = 2 if sym and not (zero_pref and wj == 0) else 1
+                out[u] = out.get(u, 0) + mult
+                if vecs is not None:
+                    emit(wj, u, mult)
+                    if stop:
+                        return
                 wj += delta
             return
         lamj = lam_rows[j]
-        Uj, xup, sj = U[j], xo[j + 1], s[j]
+        jn = j - 1
+        dn, mn, sn, ln = d[jn], m[jn], s[jn], lamj[jn]
         while wj <= hi:
             Z = dj * wj + c
             u = mj * Z * Z
+            r = rem - u
+            # the child's first and last w (as for the top level below);
+            # an empty child is skipped
+            cn = cacc[jn] + ln * wj
+            A = isqrt(r // mn)
+            lo = -((A + cn) // dn)
+            wn = lo + ((sn - lo) % delta)
+            on_zero = zero_pref and wj == 0
+            if on_zero:
+                wn = max(wn, sn % delta)
+            hn = (A - cn) // dn
+            if wn > hn:
+                wj += delta
+                continue
             w[j] = wj
             if collect:
-                q = (wj - sj) // delta
-                xo[j] = [a + q * b for a, b in zip(xup, Uj)]
+                q = (wj - s[j]) // delta
+                xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
             child = [cacc[i] + lamj[i] * wj for i in range(j)]
-            level(j - 1, child, rem - u, zero_pref and wj == 0, acc + u)
-            if stop:
-                return
+            if memo is None or on_zero:
+                level(jn, child, r, on_zero, acc + u, out, wn, hn)
+                if stop:
+                    return
+            else:
+                key = memo_key(jn, child, r)
+                stats.lookups += 1
+                h = memo.get(key)
+                if h is None:
+                    h = {}
+                    level(jn, child, r, False, 0, h, wn, hn)
+                    if memo is not None:
+                        if len(memo) < MEMO_LIMIT:
+                            memo[key] = h
+                            stats.stored += 1
+                        else:
+                            memo = None
+                            stats.memo_off = True
+                else:
+                    stats.hits += 1
+                base = acc + u
+                for k, v in h.items():
+                    out[k + base] = out.get(k + base, 0) + v
             wj += delta
 
-    level(n - 1, [0] * n, top, sym, 0)
-    return counts, vecs, M * dmul * delta * delta
+    # the top level's range, computed as each child's in level() with centre
+    # 0: |d w| <= A, w = s (mod delta), and w >= 0 on a zero prefix
+    A = isqrt(top // m[n - 1])
+    hi = A // d[n - 1]
+    first = -hi + ((s[n - 1] + hi) % delta)
+    if sym:
+        first = max(first, s[n - 1] % delta)
+    level(n - 1, [0] * n, top, sym, 0, counts, first, hi)
+    return counts, vecs, M * dmul * delta * delta, stats
 
 
 def _norms_from_scaled(counts: dict, scale: int) -> dict:
@@ -347,7 +437,7 @@ def enumerate_short(target, max_norm, collect: bool = False):
     are integer coordinate rows x in the base basis (the coset element is
     x + offset), mirror pairs expanded.
     """
-    counts, vecs, scale = _enum(target, max_norm, collect=collect)
+    counts, vecs, scale, _ = _enum(target, max_norm, collect=collect)
     counts = _norms_from_scaled(counts, scale)
     return (counts, vecs) if collect else counts
 
@@ -357,7 +447,7 @@ def find_any(target, max_norm):
 
     Returns (norm, x) with x integer coordinates in the base basis.
     """
-    counts, vecs, scale = _enum(target, max_norm, first_only=True)
+    _, vecs, _, _ = _enum(target, max_norm, first_only=True)
     if not vecs:
         return None
     x = vecs[0]

@@ -63,28 +63,32 @@ def is_integer_matrix(m) -> bool:
 
 
 def gauss_solve(a, b):
-    """Solve a x = b exactly (a square nonsingular, over Q).
+    """Solve a x = b exactly over Q, for a of full column rank: square, or
+    with more rows than unknowns when the system is consistent.
 
     b may be a vector or a matrix of column vectors given as rows of the
-    augment; raises ValueError on a singular system.
+    augment; raises ValueError on a singular or inconsistent system.
     """
-    n = len(a)
+    rows, n = len(a), len(a[0])
     vec = not isinstance(b[0], (list, tuple))
     rhs = [[x] for x in b] if vec else mat_copy(b)
-    m = [list(map(Fraction, a[i])) + list(map(Fraction, rhs[i])) for i in range(n)]
+    m = [list(map(Fraction, a[i])) + list(map(Fraction, rhs[i])) for i in range(rows)]
     w = len(m[0])
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, rows) if m[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular system")
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
-        for r in range(n):
+        for r in range(rows):
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    sol = [row[n:w] for row in m]
+    # the surplus rows are now 0 = rhs
+    if any(x != 0 for row in m[n:] for x in row[n:]):
+        raise ValueError("inconsistent system")
+    sol = [row[n:w] for row in m[:n]]
     return [row[0] for row in sol] if vec else sol
 
 

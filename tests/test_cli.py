@@ -141,6 +141,8 @@ def test_genus_avg(capsys):
     assert d["dim"] == 33 and len(d["c"]) == 9
     code, out, _ = run(capsys, "genus-avg", "--dim", "9", "--upto", "2")
     assert code == 0 and "c_j = [0, 16/17, 1/17]" in out
+    code, out, _ = run(capsys, "genus-avg", "--dim", "12", "--upto", "2")
+    assert code == 0 and "c_j = [0, 1/2, 1/2, 0]" in out
 
 
 def test_genus_bound(capsys):

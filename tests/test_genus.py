@@ -1,11 +1,12 @@
 """Genus-average theta series and the mass-based class count bound."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from unimodular.genus import DEFAULT_MASS_33, mass_count_bound, solve_cj
-from unimodular.qseries import eisenstein_e4, g2, h2, theta3
+from unimodular.qseries import eisenstein_e4, g2, h2, theta2, theta3, theta4
 
 
 def test_dim8_average_is_z8_theta():
@@ -24,6 +25,37 @@ def test_dim9_average_is_the_two_class_mixture():
     mix = (theta3(t) ** 9 * a + theta3(t) * eisenstein_e4(t) * b) * (1 / (a + b))
     assert avg.series.agrees_with(mix, upto=min(t, mix.trunc))
     assert avg.c == [0, Fraction(16, 17), Fraction(1, 17)]
+
+
+def test_dim12_average_is_the_three_class_mixture():
+    # n = 4 (mod 8) used to make the square system singular; the genus is
+    # {Z^12, E8+Z^4, D12+}, weighted by 1/|Aut|
+    avg = solve_cj(12)
+    t = avg.series.trunc
+    t2, t3, t4 = theta2(t), theta3(t), theta4(t)
+    classes = [
+        (t3 ** 12, 2 ** 12 * factorial(12)),
+        (eisenstein_e4(t) * t3 ** 4, 696729600 * 2 ** 4 * factorial(4)),
+        ((t2 ** 12 + t3 ** 12 + t4 ** 12) * Fraction(1, 2), 2 ** 11 * factorial(12)),
+    ]
+    mass = sum(Fraction(1, aut) for _, aut in classes)
+    mix = None
+    for theta, aut in classes:
+        term = theta * (Fraction(1, aut) / mass)
+        mix = term if mix is None else mix + term
+    assert avg.series.agrees_with(mix, upto=min(t, mix.trunc))
+    assert 2 * avg.c[0] + sum(avg.c[1:]) == 1
+
+
+def test_dims_4_mod_8_solve_with_surplus_relations():
+    # raises if the system is singular or a surplus relation fails; with
+    # verify_extra=0 the truncation still holds the relation i = n/4 the
+    # solve needs
+    for n, extra in ((12, 0), (20, 3), (28, 3), (36, 3)):
+        avg = solve_cj(n, verify_extra=extra)
+        assert avg.series.coeff(0) == 1 and len(avg.c) == n // 4 + 1
+        assert all(avg.coeff_norm(k) >= 0 for k in range(4))
+    assert solve_cj(12, verify_extra=0).c == solve_cj(12).c
 
 
 def test_structure_of_solution():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from unimodular import lattice
+from unimodular.constructions import d16_plus_fixture
 from unimodular.lattice import (
     Coset,
     Lattice,
@@ -24,7 +26,7 @@ from unimodular.lattice import (
     verify_min_norm,
     zn,
 )
-from unimodular.linalg import hnf_rows_frac, mat_inverse, matmul, transpose
+from unimodular.linalg import det_frac, hnf_rows_frac, mat_inverse, matmul, transpose
 from unimodular.qseries import theta2
 
 
@@ -154,6 +156,125 @@ def test_collect_on_cosets_matches_brute_force():
         assert sorted(vecs) == sorted(x for x, _ in brute)
         assert sorted(c.norm_of(x) for x in vecs) == sorted(n for _, n in brute)
         assert counts == _brute_counts(c, R)
+
+
+def _random_rational_target(rng, n, min_det):
+    """A rationally scaled lattice with a generic basis (its reduced
+    Gram-Schmidt table is far from diagonal), or one of its cosets."""
+    while True:
+        b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        gram = matmul(b, transpose(b))
+        if det_frac(gram) >= min_det:
+            break
+    scale = rng.choice((Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)))
+    L = Lattice([[scale * x for x in row] for row in gram])
+    if rng.random() < 0.3:
+        return L
+    off = [Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3, 4))) for _ in range(n)]
+    return Coset(L, off)
+
+
+def _walk(target, R):
+    """Counts by norm, as enumerate_short returns them, and the walk's stats."""
+    counts, _, scale, stats = lattice._enum(target, R)
+    return {Fraction(u, scale): c for u, c in counts.items()}, stats
+
+
+def _count_with_limit(monkeypatch, target, R, limit):
+    monkeypatch.setattr(lattice, "MEMO_LIMIT", limit)
+    return _walk(target, R)
+
+
+def test_memoised_counts_match_brute_force(monkeypatch):
+    # the count walk memoises subtree histograms; default limit, a tiny limit
+    # that forces the switch to the plain walk midway, and no memo at all
+    rng = random.Random(4711)
+    hits = switched = 0
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        # a larger determinant keeps the brute-force box small
+        target = _random_rational_target(rng, n, 4 ** n)
+        R = Fraction(rng.randrange(4, 13), 2)
+        brute = _brute_counts(target, R)
+        for limit in (1024, 3, 0):
+            counts, stats = _count_with_limit(monkeypatch, target, R, limit)
+            assert counts == brute
+            assert stats.lookups >= stats.hits + stats.stored
+            assert stats.stored <= limit
+            hits += stats.hits
+            switched += stats.memo_off
+    assert hits > 0 and switched > 0
+
+
+def test_memoised_counts_on_half_offset_cosets(monkeypatch):
+    # -t = t mod the lattice: the zero prefix is walked unmemoised and the
+    # other subtrees are counted twice
+    rng = random.Random(808)
+    skewed = _random_skewed_lattice(rng, 4)
+    cosets = [
+        Coset(zn(4), [Fraction(1, 2)] * 4),
+        Coset(zn(4), [Fraction(1, 2), 0, Fraction(1, 2), 0]),
+        Coset(skewed, [0, Fraction(1, 2), Fraction(1, 2), 0]),
+        Coset(skewed, [Fraction(1, 2), 0, 0, Fraction(-3, 2)]),
+        zn(4),
+        skewed,
+    ]
+    hits = 0
+    for c in cosets:
+        brute = _brute_counts(c, 5)
+        for limit in (1024, 3):
+            counts, stats = _count_with_limit(monkeypatch, c, 5, limit)
+            assert counts == brute
+            hits += stats.hits
+    assert hits > 0
+
+
+def test_memoised_counts_on_and_off_the_norm_grid():
+    # a radius equal to a norm keeps that norm; a radius just below drops it
+    rng = random.Random(99)
+    for _ in range(6):
+        n = rng.randrange(2, 5)
+        target = _random_rational_target(rng, n, 4 ** n)
+        brute = _brute_counts(target, 6)
+        for norm in sorted(brute)[1:4]:
+            for R in (norm, norm - Fraction(1, 7), norm + Fraction(1, 7)):
+                want = {k: v for k, v in brute.items() if k <= R}
+                assert enumerate_short(target, R) == want
+
+
+def test_memo_and_plain_walk_agree_in_higher_dimension(monkeypatch):
+    # too many points for a box; the walk without memo is the reference
+    hits = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        target = _random_rational_target(rng, rng.randrange(3, 8), 1)
+        R = rng.choice((4, 8, 12))
+        plain, _ = _count_with_limit(monkeypatch, target, R, 0)
+        memo, stats = _count_with_limit(monkeypatch, target, R, 1024)
+        assert memo == plain
+        hits += stats.hits
+    assert hits > 0
+
+
+def _sigma(k, m):
+    return sum(t ** k for t in range(1, m + 1) if m % t == 0)
+
+
+def test_d16_plus_theta_through_memo_hits():
+    # Theta of an even unimodular 16-dimensional lattice is E4^2, so the
+    # norm-2m count is 480 sigma_7(m)
+    counts, stats = _walk(d16_plus_fixture(), 10)
+    assert stats.hits > 0 and not stats.memo_off
+    assert counts == {Fraction(0): 1, **{Fraction(2 * m): 480 * _sigma(7, m)
+                                         for m in range(1, 6)}}
+
+
+def test_leech_walk_switches_the_memo_off(leech_lattice):
+    # no two subtrees repeat often enough: the memo fills and is dropped
+    counts, stats = _walk(leech_lattice, 3)
+    assert counts == {Fraction(0): 1}
+    assert stats.memo_off and stats.stored == lattice.MEMO_LIMIT
+    assert sum(stats.nodes) > 100 * lattice.MEMO_LIMIT
 
 
 def test_find_any_and_min_norm():

@@ -99,8 +99,16 @@ def test_gauss_solve_vector_and_matrix():
         x = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)]
         b = matvec(a, x)
         assert gauss_solve(a, b) == x
+        # a surplus row that the solution satisfies, then one it does not
+        extra = [rng.randrange(-3, 4) for _ in range(n)]
+        dot = sum(e * xi for e, xi in zip(extra, x))
+        assert gauss_solve([extra] + a, [dot] + b) == x
+        with pytest.raises(ValueError):
+            gauss_solve(a + [extra], b + [dot + 1])
     with pytest.raises(ValueError):
         gauss_solve([[1, 2], [2, 4]], [1, 1])
+    # dependent rows, one surplus: full column rank, one solution
+    assert gauss_solve([[1, 2], [2, 4], [1, 1]], [3, 6, 2]) == [1, 1]
 
 
 def test_mat_inverse_round_trip():
