@@ -404,13 +404,14 @@ def _affine_bounds(constraints):
 
     Each constraint is (s, t, upper) with t != 0; `upper` is None for a
     pure nonnegativity constraint or the numeric cap.  Returns (lo, hi)
-    with None marking an unbounded side.
+    with None marking an unbounded side.  The division is exact for int
+    and Fraction input alike.
     """
     lo = None
     hi = None
     for s, t, cap in constraints:
         # s + t*a >= 0
-        bound = -s / t
+        bound = Fraction(-s) / t
         if t > 0:
             b = math.ceil(bound)
             lo = b if lo is None else max(lo, b)
@@ -419,7 +420,7 @@ def _affine_bounds(constraints):
             hi = b if hi is None else min(hi, b)
         if cap is not None:
             # s + t*a <= cap
-            bound = (cap - s) / t
+            bound = Fraction(cap - s) / t
             if t > 0:
                 b = math.floor(bound)
                 hi = b if hi is None else min(hi, b)
@@ -475,8 +476,10 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
         sh = shadow_theta(n, coeffs, trunc)
         br = Branch(dict(assignment), FEASIBLE, coeffs=coeffs, theta=th, shadow=sh)
         assert th.coeff(0) == 1
-        svals = [(e, sh.coeff(e)) for e in grid]
-        tvals = [(m, th.coeff(4 * m)) for m in range(1, mu + 5) if 4 * m < trunc]
+        # the stored normal-form coefficients (ints where integral) keep the
+        # rules below in int arithmetic; none of them divides
+        svals = [(e, sh.terms.get(e, 0)) for e in grid]
+        tvals = [(m, th.terms.get(4 * m, 0)) for m in range(1, mu + 5) if 4 * m < trunc]
 
         def kill(reason: str, detail: str) -> Branch:
             br.verdict, br.reason, br.detail = INFEASIBLE, reason, detail

@@ -496,7 +496,7 @@ def theta_by_enumeration(L, max_norm: int) -> QSeries:
         e = norm * 4
         if e.denominator != 1:
             raise ValueError(f"norm {norm} is not on the quarter grid")
-        terms[int(e)] = Fraction(cnt)
+        terms[int(e)] = cnt
     return QSeries(terms, 4 * int(max_norm) + 1)
 
 

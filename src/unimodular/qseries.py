@@ -8,13 +8,25 @@ zero, and all arithmetic propagates the largest bound it can still
 guarantee (the minimum of the operand bounds, shifted by the valuation of
 the other factor under multiplication).
 
-Coefficients are fractions.Fraction throughout; nothing here rounds.
+Coefficients are exact rationals in one normal form: an int when the
+coefficient is integral, a reduced fractions.Fraction when it is not, and
+a zero is never stored.  Almost every series the engines build is
+integral (theta2, theta3, theta4, delta8, g2, h2, E4, Delta24 and their
+products), so the arithmetic runs on ints: a product clears each factor
+to integer numerators over one common denominator, convolves in ints and
+divides once.  There is no floating point: a float coefficient,
+exponent or truncation is a TypeError, and `QSeries.coeff` returns a
+Fraction, so dividing what it returns stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import index
+
+from .linalg import clear_denominators
 
 
 def rat_str(x) -> str:
@@ -37,6 +49,34 @@ def parse_rat(s) -> Fraction:
         raise ValueError("zero denominator in %r" % s) from None
 
 
+def _exact(c):
+    """c in normal form: an int when integral, else a reduced Fraction."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+
+
+def _cleared(terms: dict) -> tuple[int, list[tuple[int, int]]]:
+    """(den, [(e, den * c_e)]) for a normal-form term dict, den the lcm of
+    its denominators; the pairs keep the dict's order."""
+    den, (nums,) = clear_denominators([list(terms.values())])
+    return den, list(zip(terms, nums))
+
+
+def _over(nums, den: int) -> dict:
+    """Normal-form terms {e: c / den} of (e, int c) pairs, zeros dropped."""
+    if den == 1:
+        return {e: c for e, c in nums if c}
+    out = {}
+    for e, c in nums:
+        if c:
+            q, r = divmod(c, den)
+            out[e] = Fraction(c, den) if r else q
+    return out
+
+
 def _monomial_str(e: int) -> str:
     if e == 0:
         return ""
@@ -49,29 +89,36 @@ def _monomial_str(e: int) -> str:
 class QSeries:
     """Truncated series sum_e c_e q^(e/4), immutable by convention.
 
-    terms: dict exponent-in-quarters -> nonzero Fraction, every key < trunc.
+    terms: dict exponent-in-quarters -> nonzero coefficient in normal form
+    (int, or Fraction with denominator > 1), sorted, every key < trunc.
     trunc: first unknown exponent (in quarters), at least 1.
     """
 
     __slots__ = ("terms", "trunc")
 
     def __init__(self, terms=(), trunc: int = 1):
-        trunc = int(trunc)
+        trunc = index(trunc)
         if trunc < 1:
             raise ValueError("truncation must be positive")
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[int, Fraction] = {}
+        acc = {}
         for e, c in items:
-            e = int(e)
+            e = index(e)
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
-            if e >= trunc:
-                continue
-            c = Fraction(c)
-            if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in sorted(acc.items()) if c}
+            c = _exact(c)
+            if e < trunc and c:
+                acc[e] = acc[e] + c if e in acc else c
+        self.terms = {e: _exact(c) for e, c in sorted(acc.items()) if c}
         self.trunc = trunc
+
+    @classmethod
+    def _make(cls, terms: dict, trunc: int) -> "QSeries":
+        """Wrap terms that are already in normal form, sorted and < trunc."""
+        s = object.__new__(cls)
+        s.terms = terms
+        s.trunc = trunc
+        return s
 
     # -- constructors ----------------------------------------------------
 
@@ -89,7 +136,7 @@ class QSeries:
         """Coefficient of q^(e/4); e must lie below the truncation."""
         if e >= self.trunc:
             raise ValueError(f"exponent {e}/4 is beyond truncation {self.trunc}/4")
-        return self.terms.get(e, Fraction(0))
+        return Fraction(self.terms.get(e, 0))
 
     def items(self):
         """Sorted (exponent-in-quarters, coefficient) pairs."""
@@ -97,7 +144,7 @@ class QSeries:
 
     def valuation(self) -> int:
         """Least stored exponent; equals trunc for the (known-)zero series."""
-        return min(self.terms) if self.terms else self.trunc
+        return next(iter(self.terms), self.trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -118,13 +165,14 @@ class QSeries:
         t = min(self.trunc, o.trunc)
         acc = dict(self.terms)
         for e, c in o.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return QSeries(acc, t)
+            acc[e] = acc[e] + c if e in acc else c
+        return QSeries._make(
+            {e: _exact(c) for e, c in sorted(acc.items()) if e < t and c}, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries({e: -c for e, c in self.terms.items()}, self.trunc)
+        return QSeries._make({e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -137,20 +185,26 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QSeries({e: c * other for e, c in self.terms.items()}, self.trunc)
+            k = _exact(other)
+            terms = {e: _exact(c * k) for e, c in self.terms.items()} if k else {}
+            return QSeries._make(terms, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            if e1 >= t:
-                continue
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e >= t:
-                    continue
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return QSeries(acc, t)
+        da, a = _cleared(self.terms)
+        db, b = _cleared(other.terms)
+        acc = [0] * t
+        if b:
+            b0 = b[0][0]
+            for e1, c1 in a:
+                if e1 + b0 >= t:
+                    break
+                for e2, c2 in b:
+                    e = e1 + e2
+                    if e >= t:
+                        break
+                    acc[e] += c1 * c2
+        return QSeries._make(_over(enumerate(acc), da * db), t)
 
     __rmul__ = __mul__
 
@@ -170,12 +224,12 @@ class QSeries:
 
     def truncate(self, t: int) -> "QSeries":
         """Forget coefficients at exponents >= t (cannot extend knowledge)."""
-        t = min(int(t), self.trunc)
-        return QSeries({e: c for e, c in self.terms.items() if e < t}, t)
+        t = min(index(t), self.trunc)
+        return QSeries._make({e: c for e, c in self.terms.items() if e < t}, t)
 
     def subs_q2(self) -> "QSeries":
         """Substitute q -> q^2: doubles every exponent and the truncation."""
-        return QSeries({2 * e: c for e, c in self.terms.items()}, 2 * self.trunc)
+        return QSeries._make({2 * e: c for e, c in self.terms.items()}, 2 * self.trunc)
 
     # -- comparison and rendering ----------------------------------------
 
@@ -241,63 +295,81 @@ class QSeries:
 
 
 def combine(coeffs, basis) -> QSeries:
-    """sum_j coeffs[j] * basis[j], known up to the basis truncation."""
+    """sum_j coeffs[j] * basis[j], known up to the basis truncation.
+
+    Every term is brought over one common denominator, summed in ints and
+    divided once."""
     if len(coeffs) != len(basis):
         raise ValueError("expected %d coefficients" % len(basis))
-    acc = QSeries.zero(min(b.trunc for b in basis))
+    t = min(b.trunc for b in basis)
+    parts = []
     for a, b in zip(coeffs, basis):
+        a = _exact(a)
         if a:
-            acc = acc + b * Fraction(a)
-    return acc
+            d, nums = _cleared(b.terms)
+            parts.append((a.numerator, a.denominator * d, nums))
+    den = lcm(*(q for _, q, _ in parts))
+    acc = [0] * t
+    for p, q, nums in parts:
+        f = p * (den // q)
+        for e, c in nums:
+            if e >= t:
+                break
+            acc[e] += f * c
+    return QSeries._make(_over(enumerate(acc), den), t)
 
 
 # -- classical series --------------------------------------------------------
 #
-# All constructors take the truncation in quarters.  Products over m stop as
-# soon as the factor's leading exponent leaves the window, at which point the
-# factor is 1 to this precision.
+# All constructors take the truncation in quarters and build integer
+# coefficients.  Products over m stop as soon as the factor's leading
+# exponent leaves the window, at which point the factor is 1 to this
+# precision.  The polynomial helpers work on {integer exponent: int} dicts
+# in ascending exponent order.
 
 
-def _int_grid(poly: dict[int, Fraction], trunc: int) -> QSeries:
+def _int_grid(poly: dict[int, int], trunc: int) -> QSeries:
     """Lift a dict {integer exponent: coeff} onto the quarter grid."""
     return QSeries({4 * k: c for k, c in poly.items()}, trunc)
 
 
 def _poly_mul(a: dict, b: dict, kmax: int) -> dict:
-    out: dict[int, Fraction] = {}
+    out = [0] * (kmax + 1)
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            if e <= kmax:
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+            if e > kmax:
+                break
+            out[e] += c1 * c2
+    return {e: c for e, c in enumerate(out) if c}
 
 
 def _poly_binom_factor(k: int, power: int, sign: int, kmax: int) -> dict:
     """(1 + sign*x^k)^power as an integer-exponent dict, degree <= kmax."""
-    out = {0: Fraction(1)}
+    out = {0: 1}
     binom = 1
     for i in range(1, power + 1):
         binom = binom * (power - i + 1) // i
         if i * k > kmax:
             break
-        out[i * k] = Fraction(binom * (sign ** i))
+        out[i * k] = binom * sign ** i
     return out
 
 
 def _poly_product(factors, kmax: int) -> dict:
-    out = {0: Fraction(1)}
+    out = {0: 1}
     for f in factors:
         out = _poly_mul(out, f, kmax)
     return out
 
 
 def _poly_inverse(a: dict, kmax: int) -> dict:
+    """1/a to degree kmax; a has constant term 1, so the inverse is integral."""
     assert a.get(0) == 1
-    inv = {0: Fraction(1)}
-    tail = sorted((e, c) for e, c in a.items() if e > 0)
+    inv = {0: 1}
+    tail = [(e, c) for e, c in a.items() if e > 0]
     for e in range(1, kmax + 1):
-        s = Fraction(0)
+        s = 0
         for i, c in tail:
             if i > e:
                 break
@@ -312,10 +384,10 @@ def _poly_inverse(a: dict, kmax: int) -> dict:
 @lru_cache(maxsize=None)
 def theta3(trunc: int) -> QSeries:
     """theta3(q) = 1 + 2q + 2q^4 + 2q^9 + ... (exponents m^2)."""
-    terms = {0: Fraction(1)}
+    terms = {0: 1}
     m = 1
     while 4 * m * m < trunc:
-        terms[4 * m * m] = Fraction(2)
+        terms[4 * m * m] = 2
         m += 1
     return QSeries(terms, trunc)
 
@@ -323,10 +395,10 @@ def theta3(trunc: int) -> QSeries:
 @lru_cache(maxsize=None)
 def theta4(trunc: int) -> QSeries:
     """theta4(q) = 1 - 2q + 2q^4 - 2q^9 + ... (alternating m^2)."""
-    terms = {0: Fraction(1)}
+    terms = {0: 1}
     m = 1
     while 4 * m * m < trunc:
-        terms[4 * m * m] = Fraction(2 if m % 2 == 0 else -2)
+        terms[4 * m * m] = 2 if m % 2 == 0 else -2
         m += 1
     return QSeries(terms, trunc)
 
@@ -337,7 +409,7 @@ def theta2(trunc: int) -> QSeries:
     terms = {}
     m = 0
     while (2 * m + 1) ** 2 < trunc:
-        terms[(2 * m + 1) ** 2] = Fraction(2)
+        terms[(2 * m + 1) ** 2] = 2
         m += 1
     return QSeries(terms, trunc)
 
@@ -403,10 +475,10 @@ def eisenstein_e4(trunc: int) -> QSeries:
     if trunc < 9:
         raise ValueError("truncation too small for eisenstein_e4")
     mmax = (trunc - 1) // 8
-    terms = {0: Fraction(1)}
+    terms = {0: 1}
     for m in range(1, mmax + 1):
         sigma3 = sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
-        terms[8 * m] = Fraction(240 * sigma3)
+        terms[8 * m] = 240 * sigma3
     return QSeries(terms, trunc)
 
 

@@ -37,6 +37,12 @@ def leech_lattice():
 
 
 @pytest.fixture(scope="session")
+def leech_theta(leech_lattice):
+    # exact vector counts up to norm 4, shared by every test that needs them
+    return theta_by_enumeration(leech_lattice, 4)
+
+
+@pytest.fixture(scope="session")
 def glue30():
     return build_glue30()
 

@@ -131,7 +131,8 @@ def test_criterion_05_dim34_open_case():
         assert r.shadow.coeff(26) == 274625820
 
 
-def test_criterion_06_code_constructions(rm32_lattice, rm32_theta, leech_lattice):
+def test_criterion_06_code_constructions(rm32_lattice, rm32_theta, leech_lattice,
+                                        leech_theta):
     with criterion(6, "code lattices: dim-32 kissing 81344, Leech kissing 196560"):
         assert check_unimodular(rm32_lattice) == "odd"
         # minimal norm 4 with the exact kissing number, certified by the
@@ -139,7 +140,7 @@ def test_criterion_06_code_constructions(rm32_lattice, rm32_theta, leech_lattice
         assert [rm32_theta.coeff(4 * m) for m in range(4)] == [1, 0, 0, 0]
         assert rm32_theta.coeff(16) == 2 ** 7 * 620 + 4 * 496 == 81344
         assert TIMINGS["rm32_theta"] < 600, "enumeration too slow"
-        t = theta_by_enumeration(leech_lattice, 4)
+        t = leech_theta
         assert check_unimodular(leech_lattice) == "even"
         assert [t.coeff(4 * m) for m in range(4)] == [1, 0, 0, 0]
         assert t.coeff(16) == 196560

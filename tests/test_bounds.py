@@ -15,6 +15,7 @@ from unimodular.bounds import (
     R_NONINT,
     R_PREFIX,
     R_RANK,
+    _affine_bounds,
     default_trunc,
     even_extremal_scan,
     feasibility_scan,
@@ -138,6 +139,18 @@ def test_gram_obstruction_tset_definition():
 
 # ---------------------------------------------------------------------------
 # feasibility scans at the pivotal dimensions
+
+
+def test_affine_bounds_divide_exactly():
+    # int constraints whose quotient a float rounds onto the wrong integer:
+    # (10^17 + 1)/10^17 rounds to 1.0 and (2*10^17 - 1)/10^17 to 2.0
+    lo, hi = _affine_bounds([(-(10 ** 17 + 1), 10 ** 17, None)])
+    assert (lo, hi) == (2, None)
+    lo, hi = _affine_bounds([(0, 10 ** 17, 2 * 10 ** 17 - 1)])
+    assert (lo, hi) == (0, 1)
+    # the same with t < 0, where the sides swap
+    assert _affine_bounds([(10 ** 17 + 1, -(10 ** 17), None)]) == (None, 1)
+    assert _affine_bounds([(0, -(10 ** 17), 2 * 10 ** 17 - 1)]) == (-1, 0)
 
 
 def test_scan_dim9_noninteger_shadow():

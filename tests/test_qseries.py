@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from unimodular.bounds import shadow_basis, theta_basis
 from unimodular.qseries import (
     QSeries,
+    combine,
     cusp_delta24,
     delta8,
     eisenstein_e4,
@@ -199,6 +201,150 @@ def test_subs_q2_is_a_ring_map():
         rhs = a.subs_q2() * b.subs_q2()
         assert lhs.agrees_with(rhs, upto=min(lhs.trunc, rhs.trunc))
         assert (a + b).subs_q2() == a.subs_q2() + b.subs_q2()
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against a plain-Fraction reference
+
+
+def _ref_terms(s):
+    return {e: Fraction(c) for e, c in s.terms.items()}
+
+
+def _reference_mul(a, b):
+    """Term-by-term Fraction convolution under the ring's window rule."""
+    va, vb = min(a.terms, default=a.trunc), min(b.terms, default=b.trunc)
+    t = min(a.trunc + vb, b.trunc + va)
+    acc = {}
+    for e1, c1 in _ref_terms(a).items():
+        for e2, c2 in _ref_terms(b).items():
+            if e1 + e2 < t:
+                acc[e1 + e2] = acc.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in acc.items() if c}, t
+
+
+def _reference_add(a, b):
+    t = min(a.trunc, b.trunc)
+    acc = {}
+    for s in (a, b):
+        for e, c in _ref_terms(s).items():
+            if e < t:
+                acc[e] = acc.get(e, Fraction(0)) + c
+    return {e: c for e, c in acc.items() if c}, t
+
+
+def _reference_combine(coeffs, basis):
+    t = min(b.trunc for b in basis)
+    acc = {}
+    for a, b in zip(coeffs, basis):
+        for e, c in _ref_terms(b).items():
+            if e < t:
+                acc[e] = acc.get(e, Fraction(0)) + Fraction(a) * c
+    return {e: c for e, c in acc.items() if c}, t
+
+
+def _random_rational(rng):
+    """An int, or a Fraction over a power of 16 or over a small odd prime."""
+    num = rng.randrange(-40, 41)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return num
+    den = 16 ** rng.randrange(1, 4) if kind == 1 else rng.choice((3, 5, 7, 11))
+    return Fraction(num, den)
+
+
+def _kernel_series(rng):
+    """Random series with a positive valuation now and then and its own
+    truncation; dense or sparse, integral or not."""
+    trunc = rng.randrange(4, 48)
+    low = rng.randrange(0, min(trunc, 9))
+    terms = {e: _random_rational(rng) for e in range(low, trunc)
+             if rng.random() < rng.choice((0.3, 0.9))}
+    return QSeries(terms, trunc)
+
+
+def _assert_normal_form(s):
+    assert list(s.terms) == sorted(s.terms)
+    for e, c in s.terms.items():
+        assert 0 <= e < s.trunc and c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (e, c)
+    for e in range(s.trunc):
+        assert type(s.coeff(e)) is Fraction
+
+
+def _assert_matches(s, ref):
+    terms, trunc = ref
+    assert s.trunc == trunc and _ref_terms(s) == terms
+    _assert_normal_form(s)
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a, b = _kernel_series(rng), _kernel_series(rng)
+        _assert_normal_form(a)
+        _assert_matches(a * b, _reference_mul(a, b))
+        _assert_matches(a + b, _reference_add(a, b))
+        _assert_matches(a - b, _reference_add(a, QSeries({e: -c for e, c in b.terms.items()},
+                                                         b.trunc)))
+        # a scalar that sometimes clears every denominator of a
+        k = rng.choice((0, 1, -3, 16 ** 3 * 1155, Fraction(-7, 16), Fraction(5, 3),
+                        _random_rational(rng)))
+        scaled = {e: Fraction(k) * c for e, c in _ref_terms(a).items() if k}
+        _assert_matches(a * k, (scaled, a.trunc))
+        _assert_matches(k * a, (scaled, a.trunc))
+        basis = [_kernel_series(rng) for _ in range(rng.randrange(1, 5))]
+        coeffs = [rng.choice((0, _random_rational(rng))) for _ in basis]
+        _assert_matches(combine(coeffs, basis), _reference_combine(coeffs, basis))
+
+
+def test_kernel_divides_back_to_integers():
+    # products and combinations whose denominators cancel come out as ints
+    quarter = QSeries({1: Fraction(1, 16), 5: Fraction(3, 16)}, 40)
+    sixteen = QSeries({0: 16, 4: 32}, 40)
+    prod = quarter * sixteen
+    _assert_matches(prod, _reference_mul(quarter, sixteen))
+    assert all(type(c) is int for c in prod.terms.values())
+    comb = combine([Fraction(16, 3), 3], [QSeries({2: Fraction(3, 16)}, 9),
+                                          QSeries({2: Fraction(2, 3)}, 9)])
+    assert comb.terms == {2: 3} and type(comb.terms[2]) is int
+    assert (quarter * 16 - quarter * 16).is_zero()
+
+
+def test_classical_and_basis_series_are_integral():
+    for s in (theta2(T), theta3(T), theta4(T), delta8(T), g2(T), h2(T),
+              eisenstein_e4(T), cusp_delta24(T), *theta_basis(33, 66)):
+        _assert_normal_form(s)
+        assert all(type(c) is int for c in s.terms.values())
+    # only the shadow basis carries the powers (-1/16)^j
+    sb = shadow_basis(33, 66)
+    assert all(type(c) is int for c in sb[0].terms.values())
+    assert any(type(c) is Fraction for c in sb[4].terms.values())
+
+
+def test_normal_form_keeps_equality_and_hash():
+    a = QSeries({0: Fraction(2), 3: Fraction(6, 3), 5: Fraction(0)}, 8)
+    b = QSeries({0: 2, 3: 2}, 8)
+    assert a.terms == {0: 2, 3: 2} and type(a.terms[0]) is int
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((((0, Fraction(2)), (3, Fraction(2))), 8))
+    assert QSeries([(1, Fraction(1, 2)), (1, Fraction(1, 2))], 4).terms == {1: 1}
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        QSeries({0: 0.1}, 4)
+    with pytest.raises(TypeError):
+        QSeries({0.5: 1}, 4)  # int() would file it under q^0
+    with pytest.raises(TypeError):
+        QSeries({0: 1}, 4.9)
+    with pytest.raises(TypeError):
+        theta3(9).truncate(4.5)
+    with pytest.raises(TypeError):
+        combine([0.5, 1], [theta3(9), theta4(9)])
+    for op in (lambda s: s * 0.5, lambda s: 0.5 * s, lambda s: s + 0.5):
+        with pytest.raises(TypeError):
+            op(theta3(9))
 
 
 # ---------------------------------------------------------------------------
