@@ -21,9 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import reduce
+from operator import xor
 
-from .lattice import Lattice, enumerate_short, has_vector_below, min_norm
+from .lattice import Lattice, _enum, enumerate_short, has_vector_below, min_norm
 from .linalg import (
     det_bareiss,
     hnf_rows,
@@ -32,10 +33,6 @@ from .linalg import (
     parity_kernel_basis,
     transpose,
 )
-
-if TYPE_CHECKING:  # numpy is imported where the glue search needs it
-    import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # fixture lattices
@@ -96,72 +93,41 @@ def _int_gram(L: Lattice) -> list[list[int]]:
     return g
 
 
-def _parity(arr: np.ndarray) -> np.ndarray:
-    """Parity of the popcount of each entry (entries < 2^32)."""
-    import numpy as np
-
-    v = arr.astype(np.int64)
-    for k in (16, 8, 4, 2, 1):
-        v ^= v >> k
-    return (v & 1).astype(np.uint8)
-
-
 class _Mod2Space:
     """Bitmask model of (L/2L, bilinear form B, norm form q).
 
     Classes are integers whose bit i is the coefficient of basis vector i
-    mod 2.  For an odd lattice q(c) = |x|^2 mod 2 (a linear form); for an
-    even lattice q(c) = |x|^2/2 mod 2 (a genuine quadratic form).  The
-    transvection t_v : x -> x + B(x,v) v preserves both forms exactly when
-    q(v) = 0 (odd case) or q(v) = 1 (even case).
+    mod 2; q is a table over all 2^m classes.  For an odd lattice
+    q(c) = |x|^2 mod 2 (a linear form); for an even lattice
+    q(c) = |x|^2/2 mod 2 (a genuine quadratic form).  The transvection
+    t_v : x -> x + B(x,v) v preserves both forms exactly when q(v) = 0
+    (odd case) or q(v) = 1 (even case).
     """
 
     def __init__(self, L: Lattice):
-        import numpy as np
-
         g = _int_gram(L)
         m = L.dim
         self.m = m
         self.brows = [sum((g[i][j] & 1) << j for j in range(m)) for i in range(m)]
         self.even = all(g[i][i] % 2 == 0 for i in range(m))
         self.move_parity = 1 if self.even else 0
-        size = 1 << m
-        idx = np.arange(size, dtype=np.int64)
-        if self.even:
-            q = np.zeros(size, dtype=np.uint8)
-            for i in range(m):
-                half = 1 << i
-                qe = (g[i][i] // 2) & 1
-                cross = _parity(idx[:half] & self.brows[i])
-                q[half:2 * half] = q[:half] ^ qe ^ cross
-        else:
-            q = np.zeros(size, dtype=np.uint8)
-            for i in range(m):
-                half = 1 << i
-                q[half:2 * half] = q[:half] ^ (g[i][i] & 1)
+        # q(c + e_i) = q(c) + q(e_i) + B(c, e_i) for c below bit i (the
+        # cross term vanishes mod 2 in the odd case)
+        q = bytearray(1)
+        for i in range(m):
+            if self.even:
+                qe, row = (g[i][i] // 2) & 1, self.brows[i]
+                q += bytes([x ^ qe ^ ((c & row).bit_count() & 1) for c, x in enumerate(q)])
+            else:
+                q += bytes([x ^ (g[i][i] & 1) for x in q])
         self.q = q
 
     def b(self, x: int, v: int) -> int:
         acc = 0
-        xx = x
-        i = 0
-        while xx:
-            if xx & 1:
-                acc ^= bin(self.brows[i] & v).count("1") & 1
-            xx >>= 1
-            i += 1
-        return acc
-
-    def images_all(self, sigma_e: list[int]) -> np.ndarray:
-        """sigma applied to every class, by subset-xor doubling."""
-        import numpy as np
-
-        size = 1 << self.m
-        img = np.zeros(size, dtype=np.int64)
-        for i in range(self.m):
-            half = 1 << i
-            img[half:2 * half] = img[:half] ^ sigma_e[i]
-        return img
+        for i, row in enumerate(self.brows):
+            if x >> i & 1:
+                acc ^= (row & v).bit_count()
+        return acc & 1
 
     def apply_transvection(self, sigma_e: list[int], v: int) -> None:
         for i in range(self.m):
@@ -169,21 +135,14 @@ class _Mod2Space:
                 sigma_e[i] ^= v
 
     def is_isometry(self, sigma_e: list[int]) -> bool:
-        rows = list(sigma_e)
-        rank = 0
-        for bit in range(self.m):
-            piv = next((r for r in range(rank, self.m) if rows[r] >> bit & 1), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for r in range(self.m):
-                if r != rank and rows[r] >> bit & 1:
-                    rows[r] ^= rows[rank]
-            rank += 1
-        if rank != self.m:
+        if any(not 0 <= e < len(self.q) for e in sigma_e):
+            return False
+        try:
+            _gf2_inverse(sigma_e)
+        except ValueError:
             return False
         for i in range(self.m):
-            if int(self.q[sigma_e[i]]) != int(self.q[1 << i]):
+            if self.q[sigma_e[i]] != self.q[1 << i]:
                 return False
             for j in range(i, self.m):
                 if self.b(sigma_e[i], sigma_e[j]) != self.b(1 << i, 1 << j):
@@ -191,27 +150,74 @@ class _Mod2Space:
         return True
 
 
-def _coset_minima(L: Lattice, cutoff: int, cap: int) -> np.ndarray:
-    """m1(c) = min norm in the coset c + 2L, capped at `cap`.
+def _gf2_inverse(images: list[int]) -> list[int]:
+    """Inverse of the GF(2)-linear map sending basis vector i to images[i],
+    in the same form; ValueError when the map is singular."""
+    m = len(images)
+    rows = [(img, 1 << i) for i, img in enumerate(images)]  # (sigma a, a)
+    for bit in range(m):
+        piv = next((r for r in range(bit, m) if rows[r][0] >> bit & 1), None)
+        if piv is None:
+            raise ValueError("map is singular mod 2")
+        rows[bit], rows[piv] = rows[piv], rows[bit]
+        pv, pa = rows[bit]
+        for r in range(m):
+            if r != bit and rows[r][0] >> bit & 1:
+                rows[r] = (rows[r][0] ^ pv, rows[r][1] ^ pa)
+    return [a for _, a in rows]
+
+
+def _images(images: list[int], classes: list[int]) -> list[int]:
+    """The GF(2)-linear map with the given basis images, applied to each
+    class through two tables: one over the low half of the bits, one over
+    the high half (two byte tables when m = 16)."""
+    h = (len(images) + 1) // 2
+    lo, hi = [0], [0]
+    for table, part in ((lo, images[:h]), (hi, images[h:])):
+        for img in part:
+            table += [t ^ img for t in table]
+    mask = (1 << h) - 1
+    return [lo[c & mask] ^ hi[c >> h] for c in classes]
+
+
+def _coset_minima(L: Lattice, cutoff: int, cap: int) -> list[int]:
+    """m1(c) = min norm in the coset c + 2L, capped at `cap`, for every
+    class c, from one class walk of the vectors of norm <= cutoff.
 
     Classes not reached by any vector of norm <= cutoff get the cap, which
     must satisfy cap <= cutoff + 1 so that capping never overstates a
     minimum.  The zero class is capped too: its true minimum 4*min(L) is
     accounted for separately by the doubled base lattice.
     """
-    import numpy as np
-
     assert cap <= cutoff + 1
-    g = np.array(_int_gram(L), dtype=np.int64)
-    _, vecs = enumerate_short(L, cutoff, collect=True)
-    mt = np.full(1 << L.dim, cap, dtype=np.int64)
-    if vecs:
-        arr = np.array(vecs, dtype=np.int64)
-        norms = ((arr @ g) * arr).sum(axis=1)
-        classes = (arr & 1) @ (1 << np.arange(L.dim, dtype=np.int64))
-        np.minimum.at(mt, classes, norms)
-    mt[0] = cap
+    _int_gram(L)  # integral, so every scaled norm divides exactly
+    _, mins, scale, _ = _enum(L, cutoff, classes=True)
+    mt = [cap] * (1 << L.dim)
+    for c, u in mins.items():
+        if c:
+            mt[c] = min(cap, u // scale)
     return mt
+
+
+def _bad_finder(mt: list[int], need: int):
+    """The function sigma -> sorted nonzero classes c with
+    m1(c) + m1(sigma c) < need, for a mod-2 isometry sigma given by its
+    basis images.
+
+    A pair sum below need has a summand below need/2, so only the low
+    classes (2 m1(c) < need) are scored: the bad set is the low classes c
+    with a bad pair together with sigma^-1 of the low classes y with one.
+    """
+    low = [c for c in range(1, len(mt)) if 2 * mt[c] < need]
+    room = [need - mt[c] for c in low]  # the least m1 of a good partner
+
+    def bad(sigma_e: list[int]) -> list[int]:
+        found = {c for c, y, r in zip(low, _images(sigma_e, low), room) if mt[y] < r}
+        found.update([c for c, r in zip(_images(_gf2_inverse(sigma_e), low), room)
+                      if mt[c] < r])
+        return sorted(found)
+
+    return bad
 
 
 @dataclass
@@ -238,10 +244,8 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
     with t_v, v = sigma(u) xor y, whenever that v is an admissible
     transvection.  Returns None if every restart stalls.
     """
-    import numpy as np
-
     space = _Mod2Space(L)
-    m = space.m
+    m, q = space.m, space.q
     mu = int(min_norm(L))
     targets = [target] if target is not None else list(range(2 * mu, 0, -1))
     rng = random.Random(seed)
@@ -252,21 +256,21 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
         cutoff = 2 * tgt - 3
         cap = 2 * tgt - 2
         mt = _coset_minima(L, cutoff, cap)
-        if int(mt[space.q == 0].max(initial=0)) + int(mt.max()) < 2 * tgt:
+        if max(x for x, qc in zip(mt, q) if qc == 0) + max(mt) < 2 * tgt:
             continue  # no partner class is deep enough; target hopeless
         need = 2 * tgt
+        bad_classes = _bad_finder(mt, need)
+        partner_lists = {}
         for _ in range(restarts):
             sigma_e = [1 << i for i in range(m)]
             for _ in range(2 * m):  # random start inside the group
                 v = rng.randrange(1, 1 << m)
-                if int(space.q[v]) == space.move_parity:
+                if q[v] == space.move_parity:
                     space.apply_transvection(sigma_e, v)
             stall = 0
             best = None
             for _ in range(max_steps):
-                img = space.images_all(sigma_e)
-                bad = np.nonzero(mt + mt[img] < need)[0]
-                bad = bad[bad != 0]
+                bad = bad_classes(sigma_e)
                 score = len(bad)
                 if score == 0:
                     assert space.is_isometry(sigma_e)
@@ -277,23 +281,26 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
                     stall += 1
                     if stall > 400:
                         break
-                x = int(bad[rng.randrange(len(bad))])
-                partners = np.nonzero(
-                    (space.q == space.q[x]) & (mt >= need - mt[x]))[0]
+                x = bad[rng.randrange(score)]
+                key = (q[x], need - mt[x])
+                if key not in partner_lists:
+                    partner_lists[key] = [y for y in range(1 << m)
+                                          if q[y] == key[0] and mt[y] >= key[1]]
+                partners = partner_lists[key]
+                img_x = reduce(xor, (e for i, e in enumerate(sigma_e) if x >> i & 1), 0)
                 moved = False
-                if len(partners):
+                if partners:
                     for _ in range(8):
-                        y = int(partners[rng.randrange(len(partners))])
-                        v = int(img[x]) ^ y
-                        if v and int(space.q[v]) == space.move_parity \
-                                and space.b(int(img[x]), v) == 1:
+                        y = partners[rng.randrange(len(partners))]
+                        v = img_x ^ y
+                        if v and q[v] == space.move_parity and space.b(img_x, v) == 1:
                             space.apply_transvection(sigma_e, v)
                             moved = True
                             break
                 if not moved:
                     for _ in range(32):
                         v = rng.randrange(1, 1 << m)
-                        if int(space.q[v]) == space.move_parity:
+                        if q[v] == space.move_parity:
                             space.apply_transvection(sigma_e, v)
                             break
     return None

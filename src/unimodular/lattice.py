@@ -6,12 +6,15 @@ gram = scale_sq * gens gens^T).  A coset is a lattice translate, its offset
 written in coordinates of the base lattice's basis.
 
 Short-vector enumeration is exact Fincke-Pohst: the Gram matrix is LLL
-reduced, fraction-free Gram-Schmidt data turns the usual recursion into
+reduced (delta = 99/100), fraction-free Gram-Schmidt data turns the usual recursion into
 scaled big-integer arithmetic (isqrt bounds, no floating point), and coset
 offsets are handled by congruence-stepping the integer coordinates.  When a
 coset is fixed by negation, only canonical representatives are walked and
 counts are doubled.  A walk that only counts stores the norm histogram of
-each subtree under an exact key and reuses it when the subtree repeats.
+each subtree under an exact key and reuses it when the subtree repeats.  A
+lattice walk stops at the last norm the lattice's norm grid allows at or
+below its radius, and a class walk keeps the least norm of each class of
+L/2L.
 """
 
 from __future__ import annotations
@@ -221,22 +224,42 @@ def solve_mod2(A, b):
 def _reduced_data(L: Lattice):
     """LLL-reduce the Gram matrix once per lattice; cache scaled-integer data.
 
-    Returns (dmul, U, Uinv, d, lam, m, M): dmul clears denominators of the
-    Gram matrix, U is the reduction transform (rows of the reduced basis in
-    original coordinates) and Uinv its inverse, d/lam the fraction-free
-    Gram-Schmidt table of the reduced integer Gram, m[i] = M / (d[i-1] d[i])
-    for the common budget denominator M.
+    Returns (dmul, U, Uinv, d, lam, m, M, least, step): dmul clears
+    denominators of the Gram matrix, U is the reduction transform (rows of
+    the reduced basis in original coordinates) and Uinv its inverse, d/lam
+    the fraction-free Gram-Schmidt table of the reduced integer Gram,
+    m[i] = M / (d[i-1] d[i]) for the common budget denominator M, least the
+    smallest diagonal entry of the reduced integer Gram and step the gcd of
+    its G_ii and 2 G_ij (see `_grid_radius`).
     """
     if L._reduced is not None:
         return L._reduced
     dmul, gint = clear_denominators(L.gram)
-    gred, U, Uinv = lll_reduce_gram(gint)
+    gred, U, Uinv = lll_reduce_gram(gint, Fraction(99, 100))
     d, lam = integral_gso(gred)
     pairs = [(d[i - 1] if i else 1) * d[i] for i in range(len(d))]
     M = lcm(*pairs)
     m = [M // p for p in pairs]
-    L._reduced = (dmul, U, Uinv, d, lam, m, M)
+    n = len(gred)
+    least = min(gred[i][i] for i in range(n))
+    step = gcd(*[gred[i][i] for i in range(n)],
+               *[2 * gred[i][j] for i in range(n) for j in range(i)])
+    L._reduced = (dmul, U, Uinv, d, lam, m, M, least, step)
     return L._reduced
+
+
+def _grid_radius(L: Lattice, radius, strict=False) -> Fraction:
+    """The largest multiple of g at or below radius (strictly below it
+    when strict), g the rational gcd of the G_ii and 2 G_ij.
+
+    Every norm of L is an integer combination of the G_ii and 2 G_ij, so a
+    multiple of g, and g is the same for every basis: no norm lies between
+    the result and the radius.
+    """
+    dmul, *_, step = _reduced_data(L)
+    g = Fraction(step, dmul)
+    radius = Fraction(radius)
+    return g * (-(-radius // g) - 1 if strict else radius // g)
 
 
 def _as_coset(target) -> Coset:
@@ -265,14 +288,22 @@ class EnumStats:
     memo_off: bool = False
 
 
-def _enum(target, max_norm, collect=False, first_only=False):
+def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     """Walk {x + t : x in Z^n, |x + t|^2 <= max_norm} exactly.
 
     Returns (counts, vectors, scale, stats): counts maps scaled integer
     norms to vector counts (scale M * dmul * delta^2), vectors (when
     requested) holds integer coordinate rows x in the original basis, mirror
     pairs expanded, and stats is the walk's EnumStats.  With first_only,
-    stops at the first nonzero vector found.
+    stops at the first nonzero vector found.  With classes (lattices only),
+    vectors is instead a dict mapping each mod-2 class of x reached (bit i
+    is x_i mod 2) to the least scaled norm in it.
+
+    A lattice walk lowers its radius to the largest multiple of the norm
+    step g at or below it (`_grid_radius`): no norm lies in between.  The
+    class of x = x_red . U is the xor of the parity masks of the rows U[j]
+    with x_red[j] odd; each level passes the class fixed above it down, so
+    a vector costs O(1) on top of its norm.
 
     In reduced coordinates w = delta * (x + t), so w_i = s_i (mod delta),
     and level i contributes m_i * (d_i w_i + c_i)^2 with the centre
@@ -291,18 +322,23 @@ def _enum(target, max_norm, collect=False, first_only=False):
     L = coset.base
     n = L.dim
     max_norm = Fraction(max_norm)
-    dmul, U, Uinv, d, lam, m, M = _reduced_data(L)
+    dmul, U, Uinv, d, lam, m, M, _, _ = _reduced_data(L)
     # offset in reduced coordinates; delta clears its denominators
     delta, (s,) = clear_denominators([vecmat(coset.offset, Uinv)])
     # when -t = t mod Z^n, walk one of each +/- pair and double the count
     sym = all((2 * si) % delta == 0 for si in s)
+    if classes and any(s):
+        raise ValueError("a class walk needs a lattice, not a coset")
+    if delta == 1:
+        max_norm = _grid_radius(L, max_norm)
     top = int(max_norm * dmul * delta * delta * M)
     stats = EnumStats([0] * n)
     if top < 0:
-        return {}, ([] if collect or first_only else None), 1, stats
+        return {}, ({} if classes else [] if collect or first_only else None), 1, stats
     counts: dict[int, int] = {}
     vecs = [] if (collect or first_only) else None
-    memo = {} if vecs is None else None
+    mins = {} if classes else None
+    memo = {} if vecs is None and mins is None else None
     nodes = stats.nodes
     w = [0] * n
     lam_rows = [lam[j][:j] for j in range(n)]
@@ -313,6 +349,10 @@ def _enum(target, max_norm, collect=False, first_only=False):
     # a mirror vector is -x - (2s/delta) . U
     xo = [None] * n + [[0] * n]
     shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
+    # in a class walk, cls[j] is the class of x_red[j:] . U fixed above level
+    # j, and pm[j] the parity mask of the row U[j]
+    cls = [0] * (n + 1)
+    pm = [sum((a & 1) << i for i, a in enumerate(row)) for row in U] if classes else None
 
     def emit(wj, U_tot, mult):
         if collect:
@@ -350,6 +390,19 @@ def _enum(target, max_norm, collect=False, first_only=False):
         c = cacc[j]
         dj, mj = d[j], m[j]
         if j == 0:
+            if mins is not None:
+                k0 = cls[1]
+                k1 = k0 ^ pm[0]
+                while wj <= hi:
+                    Z = dj * wj + c
+                    u = acc + mj * Z * Z
+                    # a lattice walk is symmetric; x and -x share a class
+                    out[u] = out.get(u, 0) + (1 if zero_pref and wj == 0 else 2)
+                    k = k1 if wj & 1 else k0
+                    if u < mins.get(k, u + 1):
+                        mins[k] = u
+                    wj += 1
+                return
             while wj <= hi:
                 Z = dj * wj + c
                 u = acc + mj * Z * Z
@@ -385,6 +438,8 @@ def _enum(target, max_norm, collect=False, first_only=False):
             if collect:
                 q = (wj - s[j]) // delta
                 xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
+            elif mins is not None:
+                cls[j] = cls[j + 1] ^ pm[j] if wj & 1 else cls[j + 1]
             child = [cacc[i] + lamj[i] * wj for i in range(j)]
             if memo is None or on_zero:
                 level(jn, child, r, on_zero, acc + u, out, wn, hn)
@@ -419,7 +474,7 @@ def _enum(target, max_norm, collect=False, first_only=False):
     if sym:
         first = max(first, s[n - 1] % delta)
     level(n - 1, [0] * n, top, sym, 0, counts, first, hi)
-    return counts, vecs, M * dmul * delta * delta, stats
+    return counts, (mins if classes else vecs), M * dmul * delta * delta, stats
 
 
 def _norms_from_scaled(counts: dict, scale: int) -> dict:
@@ -455,28 +510,21 @@ def find_any(target, max_norm):
 
 
 def min_norm(L: Lattice) -> Fraction:
-    """Minimal nonzero norm, by enumeration up to the reduced diagonal bound."""
-    dmul, U, Uinv, d, lam, m, M = _reduced_data(L)
-    bound = min(Fraction(d[0], dmul), *(Fraction(L.norm_of(row)) for row in U))
-    counts = enumerate_short(L, bound)
-    nz = [k for k in counts if k > 0]
-    assert nz, "reduced basis vector must appear in its own norm bound"
-    return min(nz)
+    """Minimal nonzero norm.
+
+    The shortest row of the reduced basis has norm `bound`, read off the
+    reduced Gram diagonal; the walk only looks strictly below it, and when
+    it finds no nonzero vector there the minimum is the bound itself.
+    """
+    dmul, *_, least, _ = _reduced_data(L)
+    bound = Fraction(least, dmul)
+    nz = [k for k in enumerate_short(L, _grid_radius(L, bound, strict=True)) if k > 0]
+    return min(nz) if nz else bound
 
 
 def has_vector_below(L: Lattice, mu) -> bool:
-    """True when some nonzero vector of L has norm < mu.
-
-    Every norm is an integer combination of the G_ii and 2 G_ij, so a
-    multiple of their rational gcd g; the walk stops at the largest
-    multiple of g below mu.
-    """
-    entries = [L.gram[i][i] for i in range(L.dim)] + [
-        2 * L.gram[i][j] for i in range(L.dim) for j in range(i)]
-    g = Fraction(gcd(*[x.numerator for x in entries]),
-                 lcm(*[x.denominator for x in entries]))
-    radius = g * (-(-Fraction(mu) // g) - 1)
-    return any(k > 0 for k in enumerate_short(L, radius))
+    """True when some nonzero vector of L has norm < mu."""
+    return any(k > 0 for k in enumerate_short(L, _grid_radius(L, mu, strict=True)))
 
 
 def verify_min_norm(L: Lattice, mu) -> bool:

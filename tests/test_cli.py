@@ -181,6 +181,8 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["verify", "--lattice", "z1", "--min", "1/0"], None, 2),
     (["verify", "--lattice", "{file}"], [["1/0"]], 2),
     (["genus-bound", "--dim", "33", "--mass", "1/0"], None, 2),
+    (["construct", "glue", "--base", "z2", "--images", "9,2"], None, 2),
+    (["construct", "glue", "--base", "z2", "--images=-1,2"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
@@ -193,14 +195,16 @@ def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
         assert "Traceback" not in err
 
 
-def test_numpy_is_imported_only_by_the_glue_search():
+def test_numpy_is_never_imported():
+    # numpy is blocked, so any import of it raises ImportError
     src = os.path.dirname(os.path.dirname(os.path.abspath(unimodular.__file__)))
     script = (
-        "import sys, unimodular\n"
-        "assert 'numpy' not in sys.modules, 'import unimodular'\n"
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from unimodular.constructions import GLUE_A15_T3, a15_plus_fixture, find_glue\n"
+        "assert find_glue(a15_plus_fixture(), 3).images == GLUE_A15_T3\n"
         "from unimodular.cli import main\n"
-        "assert main(['bound', '--dim', '9', '--mu', '2']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'unimod bound'\n"
+        "assert main(['construct', 'glue', '--base', 'a15+', '--target', '3']) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

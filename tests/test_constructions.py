@@ -1,5 +1,6 @@
 """Glue doubling and shave projections, from toy cases to the frozen data."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,11 @@ from unimodular.constructions import (
     SHAVE_30,
     SHAVE_32,
     GlueMap,
+    _bad_finder,
+    _coset_minima,
+    _gf2_inverse,
+    _images,
+    _Mod2Space,
     a15_plus_fixture,
     build_shave29,
     build_shave31,
@@ -99,6 +105,62 @@ def test_find_glue_fails_on_impossible_target():
 
 def test_find_glue_reproduces_frozen_map():
     assert find_glue(a15_plus_fixture(), 3, seed=0).images == GLUE_A15_T3
+
+
+def _apply(images, c):
+    """A GF(2)-linear map applied to one class, bit by bit."""
+    out = 0
+    for i, img in enumerate(images):
+        if c >> i & 1:
+            out ^= img
+    return out
+
+
+def test_gf2_inverse_round_trip():
+    rng = random.Random(55)
+    for m in (1, 2, 7, 15, 16):
+        for _ in range(5):
+            images = [1 << i for i in range(m)]
+            for _ in range(4 * m):  # random row operations keep it invertible
+                i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+                if i != j:
+                    images[i] ^= images[j]
+            inv = _gf2_inverse(images)
+            for i in range(m):
+                assert _apply(images, inv[i]) == 1 << i
+                assert _apply(inv, images[i]) == 1 << i
+            classes = [rng.randrange(1 << m) for _ in range(50)]
+            assert _images(images, classes) == [_apply(images, c) for c in classes]
+    with pytest.raises(ValueError):
+        _gf2_inverse([1, 2, 3])
+
+
+@pytest.mark.parametrize("build, tgt", [(a15_plus_fixture, 3), (a15_plus_fixture, 4),
+                                        (d16_plus_fixture, 4)])
+def test_low_class_bad_set_matches_full_scan(build, tgt):
+    # the search scores only the low classes; a full scan applies sigma to
+    # every class
+    L = build()
+    space = _Mod2Space(L)
+    m, need = space.m, 2 * tgt
+    mt = _coset_minima(L, need - 3, need - 2)
+    bad_classes = _bad_finder(mt, need)
+    rng = random.Random(tgt)
+    sigma = [1 << i for i in range(m)]
+    sizes = []
+    for _ in range(6):
+        assert space.is_isometry(sigma)
+        img = [0]
+        for e in sigma:
+            img += [x ^ e for x in img]
+        full = [c for c in range(1, 1 << m) if mt[c] + mt[img[c]] < need]
+        assert bad_classes(sigma) == full
+        sizes.append(len(full))
+        for _ in range(3):
+            v = rng.randrange(1, 1 << m)
+            if space.q[v] == space.move_parity:
+                space.apply_transvection(sigma, v)
+    assert len(set(sizes)) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from unimodular import lattice
-from unimodular.constructions import d16_plus_fixture
+from unimodular.constructions import a15_plus_fixture, d16_plus_fixture
 from unimodular.lattice import (
     Coset,
     Lattice,
@@ -26,7 +26,15 @@ from unimodular.lattice import (
     verify_min_norm,
     zn,
 )
-from unimodular.linalg import det_frac, hnf_rows_frac, mat_inverse, matmul, transpose
+from unimodular.linalg import (
+    clear_denominators,
+    det_frac,
+    hnf_rows_frac,
+    identity,
+    mat_inverse,
+    matmul,
+    transpose,
+)
 from unimodular.qseries import theta2
 
 
@@ -270,11 +278,13 @@ def test_d16_plus_theta_through_memo_hits():
 
 
 def test_leech_walk_switches_the_memo_off(leech_lattice):
-    # no two subtrees repeat often enough: the memo fills and is dropped
+    # no two subtrees repeat often enough: the memo fills and is dropped.
+    # Leech norms are even, so the radius-3 walk is the radius-2 walk
     counts, stats = _walk(leech_lattice, 3)
     assert counts == {Fraction(0): 1}
     assert stats.memo_off and stats.stored == lattice.MEMO_LIMIT
-    assert sum(stats.nodes) > 100 * lattice.MEMO_LIMIT
+    assert stats.hits < stats.lookups // 10
+    assert sum(stats.nodes) > 10 * lattice.MEMO_LIMIT
 
 
 def test_find_any_and_min_norm():
@@ -309,6 +319,134 @@ def test_min_norm_checks_off_the_quarter_grid():
         for mu in norms + [k + Fraction(1, 10) for k in norms]:
             assert has_vector_below(L, mu) == (norms[0] < mu)
         assert verify_min_norm(L, norms[0])
+
+
+#: bases B (Gram B B^T) whose LLL basis has no vector of minimal norm: its
+#: shortest rows have norm 19 and 12, the minima are 18 and 11
+_LLL_MISSES = [
+    [[0, 1, 3, -3, 1], [-3, 3, 3, 1, 2], [-1, -2, -2, -3, 3], [-3, 1, 0, -3, 0],
+     [-2, -1, 2, -2, -3]],
+    [[3, -2, 1, 1, 3, 1], [-1, 3, 2, -2, 2, -3], [0, 2, -3, 2, -3, -2],
+     [-2, 1, 1, 1, -2, -2], [3, -1, 2, -3, 0, 0], [3, 1, 2, -1, 2, -1]],
+]
+
+
+def _box_size(L):
+    R = min(L.gram[i][i] for i in range(L.dim))
+    ginv = mat_inverse(L.gram)
+    bounds = [math.isqrt(int(ginv[i][i] * R)) for i in range(L.dim)]
+    return bounds, math.prod(2 * b + 1 for b in bounds)
+
+
+def _box_minimum(L):
+    """Least nonzero norm, by a complete search of the box
+    x_i^2 <= (G^-1)_ii R, R the least diagonal entry (a basis vector's norm)."""
+    bounds, _ = _box_size(L)
+    den, g = clear_denominators(L.gram)
+    n = L.dim
+    best = min(sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
+               for x in itertools.product(*[range(-b, b + 1) for b in bounds]) if any(x))
+    return Fraction(best, den)
+
+
+def test_min_norm_matches_box_oracle():
+    # the walk looks only below the shortest reduced row; scaled copies put
+    # the norms off the quarter grid
+    lattices = []
+    for b in _LLL_MISSES:
+        gram = matmul(b, transpose(b))
+        lattices += [Lattice(gram), Lattice([[Fraction(5, 7) * x for x in r] for r in gram])]
+    # LLL keeps the first row (norm 100 >= 99/100 * 100 is no swap)
+    lattices.append(Lattice([[100, 0, 0], [0, 99, 0], [0, 0, 101]]))
+    rng = random.Random(2718)
+    while len(lattices) < 30:
+        n = rng.randrange(3, 7)
+        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        gram = matmul(b, transpose(b))
+        if det_frac(gram) == 0:
+            continue
+        scale = rng.choice((1, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(7, 8)))
+        L = Lattice([[scale * x for x in r] for r in gram])
+        if _box_size(L)[1] <= 4000:
+            lattices.append(L)
+    first_longer = below_rows = 0
+    for L in lattices:
+        mu = _box_minimum(L)
+        assert min_norm(L) == mu
+        U = lattice._reduced_data(L)[1]
+        first_longer += L.norm_of(U[0]) > mu
+        below_rows += min(L.norm_of(row) for row in U) > mu
+    assert first_longer >= 5 and below_rows == 4
+
+
+def test_grid_snapped_walk_matches_unsnapped(monkeypatch):
+    # a lattice walk stops at the last multiple of g = gcd(G_ii, 2 G_ij) at
+    # or below its radius; without the snap it walks to the radius itself
+    rng = random.Random(1618)
+    fewer = 0
+    for k in range(40):
+        base = _random_integral_lattice(rng, rng.randrange(4, 9), k % 2 == 0)
+        scale = rng.choice((1, Fraction(2, 3), Fraction(5, 7), 3))
+        L = Lattice([[scale * x for x in r] for r in base.gram])
+        R = scale * Fraction(rng.randrange(12, 30), rng.choice((3, 4, 5)))
+        walks = [_walk(L, R), lattice._enum(L, R, collect=True)]
+        with monkeypatch.context() as mp:
+            mp.setattr(lattice, "_grid_radius", lambda L, r, strict=False: Fraction(r))
+            plain = [_walk(L, R), lattice._enum(L, R, collect=True)]
+        assert walks[0][0] == plain[0][0]
+        assert sorted(walks[1][1]) == sorted(plain[1][1])
+        # the collect walk keeps no memo, so its nodes show the pruning
+        snapped_nodes, plain_nodes = sum(walks[1][3].nodes), sum(plain[1][3].nodes)
+        assert snapped_nodes <= plain_nodes
+        fewer += snapped_nodes < plain_nodes
+    assert fewer >= 10
+
+
+def _class_minima_by_collect(L, R):
+    """Least norm per mod-2 class of the coordinates, from collected vectors."""
+    _, vecs = enumerate_short(L, R, collect=True)
+    den, g = clear_denominators(L.gram)
+    n = L.dim
+    out = {}
+    for x in vecs:
+        c = sum((a & 1) << i for i, a in enumerate(x))
+        u = Fraction(sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)), den)
+        out[c] = min(out.get(c, u), u)
+    return out
+
+
+def _random_integral_lattice(rng, n, even):
+    """B B^T for a random integer B, or a random basis of the even root
+    lattice A_n; either way the LLL transform is far from the identity."""
+    if even:
+        a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+        v = identity(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            v[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(v[i], v[j])]
+        return Lattice(matmul(matmul(v, a), transpose(v)))
+    while True:
+        b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        gram = matmul(b, transpose(b))
+        if det_frac(gram) != 0:
+            return Lattice(gram)
+
+
+def test_class_walk_minima_match_collected_vectors():
+    rng = random.Random(3141)
+    cases = [(zn(3), 3), (zn(5), 2), (a15_plus_fixture(), 3), (d16_plus_fixture(), 3)]
+    for k in range(16):
+        cases.append((_random_integral_lattice(rng, rng.randrange(2, 7), k % 2 == 0), 8))
+    skewed = 0
+    for L, R in cases:
+        counts, mins, scale, stats = lattice._enum(L, R, classes=True)
+        assert {c: Fraction(u, scale) for c, u in mins.items()} == _class_minima_by_collect(L, R)
+        assert {Fraction(u, scale): v for u, v in counts.items()} == enumerate_short(L, R)
+        assert stats.lookups == 0
+        skewed += lattice._reduced_data(L)[1] != identity(L.dim)
+    assert skewed >= 12
+    with pytest.raises(ValueError):
+        lattice._enum(Coset(zn(2), [Fraction(1, 2), 0]), 2, classes=True)
 
 
 def test_find_any_skips_zero_in_shifted_coset():

@@ -235,16 +235,24 @@ def test_lll_reduce_gram_invariants():
 
 
 def test_lll_reduce_gram_matches_rational_reference():
+    _check_lll_against_reference(Fraction(3, 4), 50)
+
+
+def test_lll_reduce_gram_at_the_enumerators_delta():
+    # the enumerator reduces with delta = 99/100
+    _check_lll_against_reference(Fraction(99, 100), 20)
+
+
+def _check_lll_against_reference(delta, trials):
     rng = random.Random(71)
-    delta = Fraction(3, 4)
-    for trial in range(50):
+    for trial in range(trials):
         n = rng.randrange(2, 9)
         if trial % 2:
             g = _sheared(rng, _random_rational_gram(rng, n))
         else:
             g = _sheared(rng, _random_pd_gram(rng, n))
-        g_red, u, u_inv = lll_reduce_gram(g)
-        assert (g_red, u) == _lll_reference(g)
+        g_red, u, u_inv = lll_reduce_gram(g, delta)
+        assert (g_red, u) == _lll_reference(g, delta)
         assert matmul(u, u_inv) == identity(n)
         # size-reduced and Lovasz, checked on a rational Gram-Schmidt table
         mu, bstar = _rational_gso(g_red)
