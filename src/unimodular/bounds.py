@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import clear_denominators
 from .qseries import (
     QSeries,
     combine,
@@ -85,20 +86,27 @@ MAX_CANDIDATES = 4096
 # basis series
 
 
+def _chain(base: QSeries, first: QSeries, count: int, trunc: int) -> list[QSeries]:
+    """[first, first*base, first*base^2, ...], count series, each truncated
+    at `trunc`: the powers one basis call needs, one product apart."""
+    out = [first.truncate(trunc)]
+    for _ in range(count - 1):
+        out.append((out[-1] * base).truncate(trunc))
+    return out
+
+
 @lru_cache(maxsize=None)
 def theta_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Basis delta8^j * theta3^(n-8j), j = 0..[n/8], truncated at `trunc`."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    jmax = n // 8
+    one = QSeries.one(trunc)
     t3 = theta3(trunc)
-    d8 = delta8(trunc) if n >= 8 else None
-    out = []
-    for j in range(n // 8 + 1):
-        s = t3 ** (n - 8 * j)
-        if j:
-            s = s * d8 ** j
-        out.append(s.truncate(trunc))
-    return tuple(out)
+    # theta3^(n-8j) for j = jmax down to 0, then delta8^j for j = 0 up
+    t3pow = _chain(t3 ** 8, t3 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
+    d8pow = _chain(delta8(trunc), one, jmax + 1, trunc) if jmax else [one]
+    return tuple((t * d).truncate(trunc) for t, d in zip(t3pow, d8pow))
 
 
 @lru_cache(maxsize=None)
@@ -106,13 +114,14 @@ def shadow_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Shadow counterparts (-1/16)^j * theta4(q^2)^(8j) * theta2^(n-8j)."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    jmax = n // 8
     t2 = theta2(trunc)
-    t4q2 = theta4(trunc).subs_q2()
-    out = []
-    for j in range(n // 8 + 1):
-        s = (t4q2 ** (8 * j)) * (t2 ** (n - 8 * j)) * Fraction((-1) ** j, 16 ** j)
-        out.append(s.truncate(trunc))
-    return tuple(out)
+    t4q2 = theta4(trunc).subs_q2().truncate(trunc)
+    # theta2^(n-8j) for j = jmax down to 0, then theta4(q^2)^(8j) for j = 0 up
+    t2pow = _chain(t2 ** 8, t2 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
+    t4pow = _chain(t4q2 ** 8, QSeries.one(trunc), jmax + 1, trunc)
+    return tuple((t * w * Fraction((-1) ** j, 16 ** j)).truncate(trunc)
+                 for j, (t, w) in enumerate(zip(t2pow, t4pow)))
 
 
 def lattice_theta(n: int, coeffs, trunc: int) -> QSeries:
@@ -196,7 +205,9 @@ def solve_prefix(n: int, mu: int, trunc: int | None = None) -> ThetaFit:
         trunc = default_trunc(n, mu)
     basis = theta_basis(n, trunc)
     forced, residual = back_substitute(basis, [1] + [0] * (mu - 1), 4)
-    coeffs = forced + [None] * (len(basis) - len(forced))
+    # an integral unitriangular basis and integer targets force integers
+    assert all(a.denominator == 1 for a in forced)
+    coeffs = [int(a) for a in forced] + [None] * (len(basis) - len(forced))
     return ThetaFit(n, mu, trunc, coeffs, residual)
 
 
@@ -249,16 +260,15 @@ def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
     s = Fraction(s)
     if s <= 0:
         raise ValueError("shadow norm must be positive")
-    mu_even = mu + (mu % 2)
+    # q1 = |u-v|^2 is even and at least mu; |u+v|^2 = 4s - q1 is an integer
+    # exactly when 4s is, and must be at least mu; |t| < s means q1 < 4s.
+    # So q1 runs over the even integers from mu rounded up to even to
+    # min(4s - mu, 4s - 1), and t = s - q1/2 = (4s - 2 q1)/4.
     tset = []
-    q1 = mu_even
-    while q1 < 4 * s:  # q1 = |u-v|^2, so t = s - q1/2 and |t| < s
-        t = s - Fraction(q1, 2)
-        p2 = 4 * s - q1  # |u+v|^2
-        if p2.denominator == 1 and p2 >= mu:
-            tset.append(t)
-        q1 += 2
-    tset.sort()
+    if (4 * s).denominator == 1:
+        s4 = int(4 * s)
+        q1s = range(mu + (mu % 2), min(s4 - mu, s4 - 1) + 1, 2)
+        tset = [Fraction(s4 - 2 * q1, 4) for q1 in reversed(q1s)]
     base = dict(dim=n, mu=mu, s=s, k=k, tset=tuple(tset))
     if k < 2:
         return GramCheck(**base, contradiction=False,
@@ -379,16 +389,13 @@ def _shadow_grid(n: int, trunc: int) -> list[int]:
     return list(range(e0, min(n + 32, trunc - 1) + 1, 8))
 
 
-def _solve_even_congruence(s: Fraction, t: Fraction):
-    """Integers a with s + t*a a (nonnegative-unconstrained) even integer.
+def _solve_even_congruence(sv: int, tv: int, den: int):
+    """Integers a with (sv + tv*a)/den an even integer (sign unconstrained).
 
     Returns (a0, step) describing the progression, or a reason string when
-    empty: R_NONINT if s + t*a is never an integer, R_PARITY if integral
-    values exist but never even.
+    empty: R_NONINT if (sv + tv*a)/den is never an integer, R_PARITY if
+    integral values exist but never even.
     """
-    den = math.lcm(s.denominator, t.denominator)
-    sv = int(s * den)
-    tv = int(t * den)
     # need sv + tv*a == 0 (mod 2*den)
     g = math.gcd(tv, 2 * den)
     if sv % g != 0:
@@ -400,32 +407,30 @@ def _solve_even_congruence(s: Fraction, t: Fraction):
 
 
 def _affine_bounds(constraints):
-    """Integer interval from constraints s + t*a >= lo_c (and <= hi_c).
+    """Integer interval from constraints s + t*a >= 0 (and <= cap).
 
-    Each constraint is (s, t, upper) with t != 0; `upper` is None for a
-    pure nonnegativity constraint or the numeric cap.  Returns (lo, hi)
-    with None marking an unbounded side.  The division is exact for int
-    and Fraction input alike.
+    Each constraint is (s, t, cap) with t != 0; `cap` is None for a pure
+    nonnegativity constraint.  Returns (lo, hi) with None marking an
+    unbounded side.  Floor division keeps the bounds exact for int and
+    Fraction input alike.
     """
     lo = None
     hi = None
     for s, t, cap in constraints:
-        # s + t*a >= 0
-        bound = Fraction(-s) / t
+        # s + t*a >= 0: a >= ceil(-s/t) for t > 0, a <= floor(-s/t) for t < 0
         if t > 0:
-            b = math.ceil(bound)
+            b = -(s // t)
             lo = b if lo is None else max(lo, b)
         else:
-            b = math.floor(bound)
+            b = -s // t
             hi = b if hi is None else min(hi, b)
         if cap is not None:
             # s + t*a <= cap
-            bound = Fraction(cap - s) / t
             if t > 0:
-                b = math.floor(bound)
+                b = (cap - s) // t
                 hi = b if hi is None else min(hi, b)
             else:
-                b = math.ceil(bound)
+                b = -((s - cap) // t)
                 lo = b if lo is None else max(lo, b)
     return lo, hi
 
@@ -463,12 +468,20 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
     sbasis = shadow_basis(n, trunc)
     tbasis = theta_basis(n, trunc)
     grid = _shadow_grid(n, trunc)
+    tgrid = [4 * m for m in range(mu, mu + 5) if 4 * m < trunc]
     free = fit.free  # ascending; resolution order is reversed
     branches: list[Branch] = []
-    theta_fixed0 = lattice_theta(
-        n, [a if a is not None else 0 for a in fit.coeffs], trunc)
-    shadow_fixed0 = shadow_theta(
-        n, [a if a is not None else 0 for a in fit.coeffs], trunc)
+    # Resolution reads each series only on its checked window: the shadow
+    # on `grid`, theta at q^mu .. q^(mu+4).  Window k of a series is carried
+    # as den * (its coefficients there), in ints over one denominator for the
+    # whole scan: `fixed0` for the forced part (whose coefficients are
+    # ints), `step[j]` per unit of a free a_j, so a branch adds int lists
+    # instead of building series.
+    den, step = clear_denominators(
+        [[sb.terms.get(e, 0) for e in grid] + [tb.terms.get(e, 0) for e in tgrid]
+         for sb, tb in zip(sbasis, tbasis)])
+    fixed0 = [sum(a * w[k] for a, w in zip(fit.coeffs, step) if a)
+              for k in range(len(step[0]))]
 
     def final_check(assignment: dict) -> Branch:
         coeffs = fit.resolved(assignment)
@@ -515,7 +528,7 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
 
     overflow: list[str] = []
 
-    def resolve(idx: int, assignment: dict, sh_fixed: QSeries, th_fixed: QSeries):
+    def resolve(idx: int, assignment: dict, fixed: list[int]):
         # idx counts down through `free`; free[idx] is the next coefficient
         if overflow:
             return
@@ -525,46 +538,41 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
         j = free[idx]
         last = idx == 0
         e_j = n - 8 * j
-        t_j = sbasis[j].coeff(e_j)
+        k_j = n // 8 - j  # grid index of e_j
+        t_j = step[j][k_j]
         assert t_j != 0
-        prog = _solve_even_congruence(sh_fixed.coeff(e_j), t_j)
+        prog = _solve_even_congruence(fixed[k_j], t_j, den)
         if isinstance(prog, str):
             branches.append(Branch(
                 dict(assignment), INFEASIBLE, prog,
                 "no integer a_%d makes the shadow coefficient at norm %s an "
                 "even integer" % (j, rat_str(Fraction(e_j, 4)))))
             return
-        a0, step = prog
-        own_cap = Fraction(2) if e_j < 2 * mu else None
-        constraints = [(sh_fixed.coeff(e_j), t_j, own_cap)]
+        a0, stride = prog
+        own_cap = 2 * den if e_j < 2 * mu else None
+        constraints = [(fixed[k_j], t_j, own_cap)]
         if own_cap is None:
             # No cap bounds this strip, so borrow nonnegativity constraints
             # from deeper coefficients that depend only on a_j.  This keeps
             # the candidate set finite without changing the verdict: a value
-            # they exclude would fail the negativity pass anyway.
+            # they exclude would fail the negativity pass anyway.  Window
+            # entries past the shadow grid are theta's, which count from
+            # q^mu on, so all of them are checked.
             if last:
-                for e in grid:
-                    t_e = sbasis[j].coeff(e)
-                    if e != e_j and t_e != 0:
-                        constraints.append((sh_fixed.coeff(e), t_e, None))
-                for m in range(mu, mu + 5):
-                    if 4 * m >= trunc:
-                        break
-                    t_m = tbasis[j].coeff(4 * m)
-                    if t_m != 0:
-                        constraints.append((th_fixed.coeff(4 * m), t_m, None))
+                constraints += [(f, t, None) for k, (f, t) in enumerate(zip(fixed, step[j]))
+                                if t != 0 and k != k_j]
         lo, hi = _affine_bounds(constraints)
         if lo is None or hi is None:
             overflow.append(
                 "coefficient a_%d is not bounded by the checked window" % j)
             return
-        cands = _progression_in(a0, step, lo, hi)
+        cands = _progression_in(a0, stride, lo, hi)
         if not cands:
             # distinguish a cap kill from conflicting nonnegativity
             lo2, hi2 = _affine_bounds([(s, t, None) for s, t, _ in constraints])
             empty_nocap = (
                 hi2 is not None and lo2 is not None
-                and not _progression_in(a0, step, lo2, hi2))
+                and not _progression_in(a0, stride, lo2, hi2))
             reason = R_NEG if (empty_nocap or hi2 is None or lo2 is None) else R_COUNT
             branches.append(Branch(
                 dict(assignment), INFEASIBLE, reason,
@@ -579,11 +587,10 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
             return
         for a in cands:
             assignment[j] = a
-            resolve(idx - 1, assignment,
-                    sh_fixed + sbasis[j] * a, th_fixed + tbasis[j] * a)
+            resolve(idx - 1, assignment, [f + a * t for f, t in zip(fixed, step[j])])
             del assignment[j]
 
-    resolve(len(free) - 1, {}, shadow_fixed0, theta_fixed0)
+    resolve(len(free) - 1, {}, fixed0)
     # resolve refers to itself through its closure cell; drop that cycle so
     # the branches are freed with the report, without the cyclic collector
     del resolve

@@ -276,8 +276,16 @@ def _cmd_genus_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its own usage errors on one `error:` line and exit
+    status 2, like every other bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="unimod",
         description="Certified minimal-norm bounds and explicit unimodular lattices")
     sub = p.add_subparsers(dest="command", required=True)

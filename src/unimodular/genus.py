@@ -11,12 +11,17 @@ facts: the coefficients alpha_i of P = theta3^n sum_j c_j g2^j satisfy
 alpha_(4i) = 2^(n-2) alpha_i for every i >= 0 (so alpha_0 = 0), and the
 constant term of the average is 1.
 
-Averaged coefficients bound class numbers: since each lattice has at
-least the automorphisms +-1, the number of classes with no vectors of
-norm 1 or 2 is at least  M * (1 - (A_1 + A_2)/2)  where A_k is the
-average number of norm-k vectors, and each such class contributes at
-least 2 lattices-with-automorphism count... concretely, the number of
-classes of minimal norm >= 3 is at least 2 * that mass.
+Averaged coefficients bound class numbers (`mass_count_bound`).  Let M
+be the mass of the genus, A_k the average number of norm-k vectors and
+M_0 the mass of the classes with no vectors of norm 1 or 2.  Such vectors
+come in +-pairs, so a class outside M_0 has at least two of them, and
+(A_1 + A_2) M >= 2 (M - M_0); hence the mass bound
+M_0 >= M (1 - (A_1 + A_2)/2).  Every lattice has the automorphisms +-1,
+so |Aut| >= 2, each class adds at most 1/2 to M_0, and the number of
+classes of minimal norm >= 3 is at least 2 M_0.
+
+The c_j come from an integer linear system (the basis series are
+integral), solved by the fraction-free `linalg.gauss_solve`.
 """
 
 from __future__ import annotations
@@ -64,6 +69,9 @@ def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> Average
     m = n // 4
     if trunc is None:
         trunc = 16 * (m + verify_extra) + 1  # alpha_(4i) up to i = m + verify_extra
+    if trunc <= 16 * (m + verify_extra):
+        raise ValueError("truncation %d/4 does not reach the relation at q^%d"
+                         % (trunc, 4 * (m + verify_extra)))
     t3n = theta3(trunc) ** n
     g = g2(trunc)
     h = h2(trunc)
@@ -74,20 +82,22 @@ def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> Average
         hpow.append((hpow[-1] * h).truncate(trunc))
     basis = [(t3n * gp).truncate(trunc) for gp in gpow]
 
-    def alpha_row(i: int) -> list[Fraction]:
-        return [b.coeff(4 * i) for b in basis]
+    # the basis is integral and known past q^(4(m + verify_extra)), so the
+    # rows are read straight from the stored int coefficients
+    def alpha_row(i: int) -> list[int]:
+        return [b.terms.get(4 * i, 0) for b in basis]
 
-    scale = Fraction(2) ** (n - 2)
+    scale = 2 ** (n - 2)
 
-    def surplus_row(i: int) -> list[Fraction]:
+    def surplus_row(i: int) -> list[int]:
         return [x - scale * y for x, y in zip(alpha_row(4 * i), alpha_row(i))]
 
     rows = [alpha_row(0)] + [surplus_row(i) for i in range(1, m + 1)]
-    rhs = [Fraction(0)] * (m + 1)
+    rhs = [0] * (m + 1)
     # constant term of theta3^n sum c_j (g2^j + h2^j): g2^j kills j>=1,
     # h2^j contributes 1 for every j
-    rows.append([Fraction(2)] + [Fraction(1)] * m)
-    rhs.append(Fraction(1))
+    rows.append([2] + [1] * m)
+    rhs.append(1)
     # full column rank; gauss_solve raises if the surplus row is not satisfied
     c = gauss_solve(rows, rhs)
 

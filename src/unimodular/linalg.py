@@ -10,7 +10,7 @@ over Z.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -68,27 +68,40 @@ def gauss_solve(a, b):
 
     b may be a vector or a matrix of column vectors given as rows of the
     augment; raises ValueError on a singular or inconsistent system.
+
+    Gauss-Jordan in ints: each augmented row is cleared to integers, a row
+    is eliminated as p*row - f*pivot_row (p, f over their gcd) at the
+    pivot row's nonzero entries only, and every new row is divided by the
+    gcd of its entries.  The one division per unknown is at read-out.
     """
     rows, n = len(a), len(a[0])
     vec = not isinstance(b[0], (list, tuple))
-    rhs = [[x] for x in b] if vec else mat_copy(b)
-    m = [list(map(Fraction, a[i])) + list(map(Fraction, rhs[i])) for i in range(rows)]
+    rhs = [[x] for x in b] if vec else b
+    m = [clear_denominators([list(ra) + list(rb)])[1][0] for ra, rb in zip(a, rhs)]
     w = len(m[0])
     for col in range(n):
         piv = next((r for r in range(col, rows) if m[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular system")
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        prow = m[col]
+        p = prow[col]
+        nonzero = [(k, x) for k, x in enumerate(prow) if x]
         for r in range(rows):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+            f = m[r][col]
+            if r == col or not f:
+                continue
+            g = gcd(p, f)
+            scale, f = p // g, f // g
+            row = m[r] if scale == 1 else [x * scale for x in m[r]]
+            for k, x in nonzero:
+                row[k] -= f * x
+            g = gcd(*row)
+            m[r] = row if g <= 1 else [x // g for x in row]
     # the surplus rows are now 0 = rhs
     if any(x != 0 for row in m[n:] for x in row[n:]):
         raise ValueError("inconsistent system")
-    sol = [row[n:w] for row in m[:n]]
+    sol = [[Fraction(x, row[i]) for x in row[n:w]] for i, row in enumerate(m[:n])]
     return [row[0] for row in sol] if vec else sol
 
 

@@ -14,9 +14,11 @@ a zero is never stored.  Almost every series the engines build is
 integral (theta2, theta3, theta4, delta8, g2, h2, E4, Delta24 and their
 products), so the arithmetic runs on ints: a product clears each factor
 to integer numerators over one common denominator, convolves in ints and
-divides once.  There is no floating point: a float coefficient,
-exponent or truncation is a TypeError, and `QSeries.coeff` returns a
-Fraction, so dividing what it returns stays exact.
+divides once.  Each series clears itself once, on first use, and keeps
+the cleared form, so a cached basis series is not cleared again by every
+product and combination it enters.  There is no floating point: a float
+coefficient, exponent or truncation is a TypeError, and `QSeries.coeff`
+returns a Fraction, so dividing what it returns stays exact.
 """
 
 from __future__ import annotations
@@ -58,13 +60,6 @@ def _exact(c):
     raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
 
 
-def _cleared(terms: dict) -> tuple[int, list[tuple[int, int]]]:
-    """(den, [(e, den * c_e)]) for a normal-form term dict, den the lcm of
-    its denominators; the pairs keep the dict's order."""
-    den, (nums,) = clear_denominators([list(terms.values())])
-    return den, list(zip(terms, nums))
-
-
 def _over(nums, den: int) -> dict:
     """Normal-form terms {e: c / den} of (e, int c) pairs, zeros dropped."""
     if den == 1:
@@ -92,9 +87,10 @@ class QSeries:
     terms: dict exponent-in-quarters -> nonzero coefficient in normal form
     (int, or Fraction with denominator > 1), sorted, every key < trunc.
     trunc: first unknown exponent (in quarters), at least 1.
+    The cleared form of `terms` is computed on first use and kept.
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("terms", "trunc", "_ints")
 
     def __init__(self, terms=(), trunc: int = 1):
         trunc = index(trunc)
@@ -111,6 +107,7 @@ class QSeries:
                 acc[e] = acc[e] + c if e in acc else c
         self.terms = {e: _exact(c) for e, c in sorted(acc.items()) if c}
         self.trunc = trunc
+        self._ints = None
 
     @classmethod
     def _make(cls, terms: dict, trunc: int) -> "QSeries":
@@ -118,7 +115,18 @@ class QSeries:
         s = object.__new__(cls)
         s.terms = terms
         s.trunc = trunc
+        s._ints = None
         return s
+
+    def _cleared(self):
+        """(den, (e, den * c_e) pairs in exponent order), den the lcm of the
+        denominators.  Computed once per series; an integral series (den 1)
+        hands out its own items, so the cache costs it no copy."""
+        if self._ints is None:
+            den, (nums,) = clear_denominators([list(self.terms.values())])
+            self._ints = den, (self.terms.items() if den == 1
+                               else list(zip(self.terms, nums)))
+        return self._ints
 
     # -- constructors ----------------------------------------------------
 
@@ -191,11 +199,11 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        da, a = _cleared(self.terms)
-        db, b = _cleared(other.terms)
+        da, a = self._cleared()
+        db, b = other._cleared()
         acc = [0] * t
         if b:
-            b0 = b[0][0]
+            b0 = other.valuation()
             for e1, c1 in a:
                 if e1 + b0 >= t:
                     break
@@ -306,7 +314,7 @@ def combine(coeffs, basis) -> QSeries:
     for a, b in zip(coeffs, basis):
         a = _exact(a)
         if a:
-            d, nums = _cleared(b.terms)
+            d, nums = b._cleared()
             parts.append((a.numerator, a.denominator * d, nums))
     den = lcm(*(q for _, q, _ in parts))
     acc = [0] * t

@@ -30,7 +30,7 @@ from unimodular.bounds import (
     theta_basis,
 )
 from unimodular.lattice import theta_by_enumeration, zn
-from unimodular.qseries import theta2, theta3
+from unimodular.qseries import delta8, theta2, theta3, theta4
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,20 @@ def test_theta_basis_unitriangular():
         for j, b in enumerate(basis):
             assert b.valuation() == 4 * j
             assert b.coeff(4 * j) == 1
+
+
+def test_bases_equal_direct_powers():
+    # the bases share powers along chains; the oracle powers each factor
+    for n in range(1, 41):
+        t = default_trunc(n, n // 8 + 3)
+        tb, sb = theta_basis(n, t), shadow_basis(n, t)
+        assert len(tb) == len(sb) == n // 8 + 1
+        for j in range(n // 8 + 1):
+            direct = theta3(t) ** (n - 8 * j) * (delta8(t) ** j if j else 1)
+            assert tb[j] == direct.truncate(t), (n, j)
+            direct = (theta4(t).subs_q2() ** (8 * j) * theta2(t) ** (n - 8 * j)
+                      * Fraction((-1) ** j, 16 ** j))
+            assert sb[j] == direct.truncate(t), (n, j)
 
 
 def test_shadow_basis_leading_exponents():
@@ -122,19 +136,27 @@ def test_gram_obstruction_inconclusive_cases():
         gram_obstruction(10, 0, 5, 2)
 
 
+def _tset_by_definition(s, mu):
+    """The admissible inner products, straight from the definition."""
+    expect = []
+    q1 = mu + (mu % 2)
+    while q1 < 4 * s:
+        t = s - Fraction(q1, 2)
+        p2 = 4 * s - q1
+        if p2.denominator == 1 and p2 >= mu:
+            expect.append(t)
+        q1 += 2
+    return sorted(expect)
+
+
 def test_gram_obstruction_tset_definition():
-    # recompute the admissible window straight from the definition
-    for s, mu in ((Fraction(9, 4), 4), (Fraction(2), 4), (Fraction(5, 4), 2)):
-        g = gram_obstruction(40, s, 3, mu)
-        expect = []
-        q1 = mu + (mu % 2)
-        while q1 < 4 * s:
-            t = s - Fraction(q1, 2)
-            p2 = 4 * s - q1
-            if p2.denominator == 1 and p2 >= mu:
-                expect.append(t)
-            q1 += 2
-        assert list(g.tset) == sorted(expect)
+    grid = [Fraction(e, 4) for e in range(1, 81)]
+    for s in grid + [Fraction(1, 3), Fraction(7, 6)]:
+        for mu in range(1, 9):
+            g = gram_obstruction(40, s, 3, mu)
+            assert list(g.tset) == _tset_by_definition(s, mu), (s, mu)
+    # off the quarter grid |u+v|^2 is never an integer
+    assert gram_obstruction(40, Fraction(7, 6), 3, 1).tset == ()
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +257,24 @@ def test_scan_feasible_witness_passes_rules():
             assert e == 0 or c % 2 == 0
         for e, c in r.shadow.items():
             assert c.denominator == 1 and c >= 0 and c % 2 == 0
+
+
+def test_resolution_pins_each_free_coefficient_strip():
+    # A free a_j is resolved from the shadow coefficient at norm (n-8j)/4,
+    # the first place it appears: every complete branch must have a
+    # nonnegative even integer there, at most 2 below norm mu/2.  In scans
+    # with several free coefficients the inner ones see that coefficient
+    # only through the windows the outer ones leave behind.
+    for n, mu in ((16, 1), (35, 3), (40, 4)):
+        r = feasibility_scan(n, mu)
+        assert len(r.fit.free) >= 2
+        complete = [b for b in r.branches if b.coeffs is not None]
+        assert complete
+        for b in complete:
+            for j in r.fit.free:
+                c = b.shadow.coeff(n - 8 * j)
+                assert c.denominator == 1 and c % 2 == 0 and c >= 0, (n, mu, b.assignment, j)
+                assert n - 8 * j >= 2 * mu or c <= 2
 
 
 def test_scan_monotone_in_mu():

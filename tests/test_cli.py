@@ -195,6 +195,19 @@ def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "glue", "--base", "z2", "--images", "-1,2"],  # -1,2 reads as an option
+    ["verify", "--lattice"],
+])
+def test_argparse_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "usage:" not in err
+
+
 def test_numpy_is_never_imported():
     # numpy is blocked, so any import of it raises ImportError
     src = os.path.dirname(os.path.dirname(os.path.abspath(unimodular.__file__)))

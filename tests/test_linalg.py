@@ -122,6 +122,138 @@ def test_mat_inverse_round_trip():
         assert matmul(a, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _oracle_solve(a, b):
+    """Plain Fraction Gauss-Jordan, the reference for `gauss_solve`: the
+    solution, or ValueError("singular system" / "inconsistent system")."""
+    rows, n = len(a), len(a[0])
+    vec = not isinstance(b[0], (list, tuple))
+    rhs = [[x] for x in b] if vec else b
+    m = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, rows) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(rows):
+            if r != col:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    if any(x != 0 for row in m[n:] for x in row[n:]):
+        raise ValueError("inconsistent system")
+    sol = [row[n:] for row in m[:n]]
+    return [row[0] for row in sol] if vec else sol
+
+
+def _agrees_with_oracle(a, b):
+    """gauss_solve(a, b) equals the oracle's answer, or both raise the same
+    error; returns the error message or None."""
+    try:
+        want = _oracle_solve(a, b)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            gauss_solve(a, b)
+        return str(exc)
+    got = gauss_solve(a, b)
+    assert got == want
+    flat = got if isinstance(got[0], Fraction) else [x for row in got for x in row]
+    assert all(type(x) is Fraction for x in flat)
+    return None
+
+
+def _random_rat(rng, lo=-6, hi=7):
+    return Fraction(rng.randrange(lo, hi), rng.randrange(1, 5))
+
+
+def test_gauss_solve_square_systems_match_oracle():
+    rng = random.Random(11)
+    solved = 0
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        entry = _random_rat if rng.random() < 0.5 else (lambda r: r.randrange(-9, 10))
+        a = [[entry(rng) for _ in range(n)] for _ in range(n)]
+        b = [_random_rat(rng) for _ in range(n)]
+        solved += _agrees_with_oracle(a, b) is None
+    assert solved >= 50
+
+
+def test_gauss_solve_overdetermined_and_inconsistent_match_oracle():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        a = _random_int_matrix(rng, n)
+        if det_bareiss(a) == 0:
+            continue
+        x = [_random_rat(rng) for _ in range(n)]
+        # surplus rows: integer combinations of the square rows, and fresh rows
+        extra = [[sum(c * row[k] for c, row in zip(cs, a)) for k in range(n)]
+                 for cs in ([rng.randrange(-3, 4) for _ in range(n)] for _ in range(2))]
+        extra.append([_random_rat(rng) for _ in range(n)])
+        big = a + extra
+        rng.shuffle(big)
+        b = matvec(big, x)
+        assert _agrees_with_oracle(big, b) is None
+        assert gauss_solve(big, b) == x
+        # break one right-hand side: no solution any more
+        k = rng.randrange(len(b))
+        bad = b[:k] + [b[k] + 1] + b[k + 1:]
+        assert _agrees_with_oracle(big, bad) == "inconsistent system"
+
+
+def test_gauss_solve_singular_matches_oracle():
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        a = _random_int_matrix(rng, n)
+        # replace a row by a rational combination of two others
+        i, j, k = (rng.sample(range(n), 3) if n > 2 else (0, 1, 1))
+        p, q = _random_rat(rng), _random_rat(rng)
+        a[i] = [p * x + q * y for x, y in zip(a[j], a[k])]
+        b = [_random_rat(rng) for _ in range(n)]
+        assert _agrees_with_oracle(a, b) == "singular system"
+        # surplus rows do not restore a missing rank
+        assert _agrees_with_oracle(a + [a[j]], b + [b[j]]) == "singular system"
+
+
+def test_gauss_solve_sparse_unit_matrices_match_oracle():
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randrange(2, 16)
+        a = [[rng.choice((-1, 1)) if rng.random() < 0.2 else 0 for _ in range(n)]
+             for _ in range(n)]
+        for i in range(n):
+            a[i][i] = rng.choice((-1, 1))
+        b = [rng.randrange(-3, 4) for _ in range(n)]
+        _agrees_with_oracle(a, b)
+        _agrees_with_oracle(a, identity(n))
+
+
+def test_gauss_solve_matrix_rhs_matches_oracle():
+    rng = random.Random(15)
+    round_trips = 0
+    for _ in range(30):
+        n = rng.randrange(1, 6)
+        cols = rng.randrange(1, 4)
+        a = [[_random_rat(rng) for _ in range(n)] for _ in range(n + rng.randrange(0, 2))]
+        x = [[_random_rat(rng) for _ in range(cols)] for _ in range(n)]
+        b = matmul(a, x)
+        if _agrees_with_oracle(a, b) is None:
+            assert gauss_solve(a, b) == x
+            round_trips += 1
+        _agrees_with_oracle(a, [[_random_rat(rng) for _ in range(cols)] for _ in a])
+    assert round_trips >= 20
+
+
+def test_mat_inverse_on_glue30_even_coordinates(glue30):
+    from unimodular.lattice import _even_coords
+
+    e = _even_coords(glue30)
+    inv = mat_inverse(e)
+    n = len(e)
+    assert matmul(e, inv) == identity(n) and matmul(inv, e) == identity(n)
+    assert inv == _oracle_solve(e, identity(n))
+
+
 # ---------------------------------------------------------------------------
 # Gram-matrix tools
 

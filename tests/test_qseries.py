@@ -293,6 +293,11 @@ def test_kernel_matches_fraction_reference():
         scaled = {e: Fraction(k) * c for e, c in _ref_terms(a).items() if k}
         _assert_matches(a * k, (scaled, a.trunc))
         _assert_matches(k * a, (scaled, a.trunc))
+        # a and b are cleared by now: what is derived from them must not
+        # share their cleared form
+        cut = rng.randrange(1, a.trunc + 1)
+        for d in (-a, a.truncate(cut), a.subs_q2(), a * k, a - b):
+            _assert_matches(d * b, _reference_mul(d, b))
         basis = [_kernel_series(rng) for _ in range(rng.randrange(1, 5))]
         coeffs = [rng.choice((0, _random_rational(rng))) for _ in basis]
         _assert_matches(combine(coeffs, basis), _reference_combine(coeffs, basis))
