@@ -10,18 +10,22 @@ reduced (delta = 99/100), fraction-free Gram-Schmidt data turns the usual recurs
 scaled big-integer arithmetic (isqrt bounds, no floating point), and coset
 offsets are handled by congruence-stepping the integer coordinates.  When a
 coset is fixed by negation, only canonical representatives are walked and
-counts are doubled.  A walk that only counts stores the norm histogram of
-each subtree under an exact key and reuses it when the subtree repeats.  A
-lattice walk stops at the last norm the lattice's norm grid allows at or
-below its radius, and a class walk keeps the least norm of each class of
-L/2L.
+counts are doubled.  A walk that does not collect stores the norm
+histogram of each subtree under an exact key and reuses it when the
+subtree repeats.  A lattice walk stops at the last norm the lattice's norm
+grid allows at or below its radius, and a class walk keeps the least norm
+of each class of L/2L: it stores each subtree's class map next to its
+histogram, relative to the parity mask by which reducing the subtree to
+its key flips the classes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .linalg import (
     clear_denominators,
@@ -50,11 +54,15 @@ class Lattice:
             raise ValueError("a lattice needs dimension at least 1")
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
+        # the checks run on the integer Gram gi = dg * gram, kept for
+        # _reduced_data
+        dg, gi = clear_denominators(gram)
         for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
+            for j in range(i + 1, n):
+                if gi[i][j] != gi[j][i]:
                     raise ValueError(f"gram matrix not symmetric at ({i},{j})")
         self.gram = gram
+        self._cleared = dg, gi
         self.scale_sq = Fraction(scale_sq)
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
@@ -63,13 +71,17 @@ class Lattice:
             gens = mat_frac(gens)
             if len(gens) != n:
                 raise ValueError("generator count must equal the dimension")
-            check = matmul(gens, transpose(gens))
+            # scale * Gi Gi^T / dG^2 == gi / dg, gens = Gi / dG, over the
+            # ints; both sides are symmetric
+            dG, Gi = clear_denominators(gens)
+            lhs, rhs = self.scale_sq.numerator * dg, self.scale_sq.denominator * dG * dG
             for i in range(n):
-                for j in range(n):
-                    if self.scale_sq * check[i][j] != gram[i][j]:
+                for j in range(i, n):
+                    dot = sum(map(mul, Gi[i], Gi[j]))
+                    if lhs * dot != rhs * gi[i][j]:
                         raise ValueError(
                             f"generators do not match gram at ({i},{j}): "
-                            f"{self.scale_sq * check[i][j]} != {gram[i][j]}"
+                            f"{self.scale_sq * Fraction(dot, dG * dG)} != {gram[i][j]}"
                         )
             self.gens = gens
         self.name = name
@@ -234,7 +246,7 @@ def _reduced_data(L: Lattice):
     """
     if L._reduced is not None:
         return L._reduced
-    dmul, gint = clear_denominators(L.gram)
+    dmul, gint = L._cleared
     gred, U, Uinv = lll_reduce_gram(gint, Fraction(99, 100))
     d, lam = integral_gso(gred)
     pairs = [(d[i - 1] if i else 1) * d[i] for i in range(len(d))]
@@ -270,22 +282,32 @@ def _as_coset(target) -> Coset:
     raise TypeError("expected a Lattice or Coset")
 
 
-#: most subtree histograms one count walk stores; past it the memo is
-#: dropped and the rest of the walk pushes its counts down as usual
+#: most subtree histograms (with their class maps, in a class walk) one
+#: walk stores; past it the memo is dropped and the rest of the walk pushes
+#: its vectors down as usual
 MEMO_LIMIT = 1024
 
 
 @dataclass
 class EnumStats:
     """Work of one enumeration: nodes walked per level (empty ones are
-    skipped), and the count walk's subtree memo: lookups, hits, stored
-    histograms, and whether it was dropped at MEMO_LIMIT."""
+    skipped), and the subtree memo of a count or class walk: lookups, hits,
+    stored subtrees, and whether it was dropped at MEMO_LIMIT."""
 
     nodes: list
     lookups: int = 0
     hits: int = 0
     stored: int = 0
     memo_off: bool = False
+
+
+def _pack_classes(mins: dict) -> list:
+    """A subtree's class map {class: least norm} as (norm, array of the
+    classes with that least norm) pairs: a few norms, many classes."""
+    by_norm = {}
+    for c, u in mins.items():
+        by_norm.setdefault(u, []).append(c)
+    return [(u, array("Q", cs)) for u, cs in by_norm.items()]
 
 
 def _enum(target, max_norm, collect=False, first_only=False, classes=False):
@@ -295,9 +317,10 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     norms to vector counts (scale M * dmul * delta^2), vectors (when
     requested) holds integer coordinate rows x in the original basis, mirror
     pairs expanded, and stats is the walk's EnumStats.  With first_only,
-    stops at the first nonzero vector found.  With classes (lattices only),
-    vectors is instead a dict mapping each mod-2 class of x reached (bit i
-    is x_i mod 2) to the least scaled norm in it.
+    stops at the first nonzero vector found.  With classes (lattices of
+    dimension at most 64 only), vectors is instead a dict mapping each
+    mod-2 class of x reached (bit i is x_i mod 2) to the least scaled norm
+    in it.
 
     A lattice walk lowers its radius to the largest multiple of the norm
     step g at or below it (`_grid_radius`): no norm lies in between.  The
@@ -307,20 +330,29 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
 
     In reduced coordinates w = delta * (x + t), so w_i = s_i (mod delta),
     and level i contributes m_i * (d_i w_i + c_i)^2 with the centre
-    c_i = sum_{l > i} lam[l][i] w_l.  A count-only walk memoises subtree
-    histograms: below a node at level j, the histogram {norm of levels
+    c_i = sum_{l > i} lam[l][i] w_l.  A walk that does not collect memoises
+    subtrees: below a node at level j, the histogram {norm of levels
     <= j: count} depends only on c_0..c_j and the remaining budget, and
     shifting w_j by delta * k is a bijection of the subtree that keeps every
     partial norm while adding d_j delta k to c_j and lam[j][l] delta k to
-    each lower c_l.  Reducing c_j modulo d_j delta from the top level down,
-    correcting the lower centres as it goes, therefore names the subtree
-    exactly, and a repeated subtree adds its stored histogram shifted by
-    the norm above it.  Nodes on the zero prefix of a symmetric walk are
-    not memoised (their halving tests the real w = 0).
+    each lower c_l.  Reducing c_j modulo d_j delta from the top level down
+    to level 0, correcting the lower centres as it goes, therefore names the
+    subtree exactly, and a repeated subtree adds its stored histogram
+    shifted by the norm above it.  In a class walk (delta = 1) the
+    reduction shifts x_red[i] by its quotient k_i, which flips the class of
+    every vector of the subtree by the parity mask, the xor of the masks of
+    U[i] over the odd k_i.  A class walk stores each subtree's class map
+    {class of levels <= j xor mask: least norm}, the same for every subtree
+    with the key, and a repeated subtree adds it with its classes xored by
+    the class fixed above the node and the node's own mask, its norms
+    shifted by the norm above.  Nodes on the zero prefix of a symmetric walk
+    are not memoised (their halving tests the real w = 0).
     """
     coset = _as_coset(target)
     L = coset.base
     n = L.dim
+    if classes and n > 64:
+        raise ValueError(f"a class walk packs classes into 64 bits; dimension {n} > 64")
     max_norm = Fraction(max_norm)
     dmul, U, Uinv, d, lam, m, M, _, _ = _reduced_data(L)
     # offset in reduced coordinates; delta clears its denominators
@@ -338,7 +370,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     counts: dict[int, int] = {}
     vecs = [] if (collect or first_only) else None
     mins = {} if classes else None
-    memo = {} if vecs is None and mins is None else None
+    memo = {} if vecs is None else None
     nodes = stats.nodes
     w = [0] * n
     lam_rows = [lam[j][:j] for j in range(n)]
@@ -349,9 +381,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     # a mirror vector is -x - (2s/delta) . U
     xo = [None] * n + [[0] * n]
     shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
-    # in a class walk, cls[j] is the class of x_red[j:] . U fixed above level
-    # j, and pm[j] the parity mask of the row U[j]
-    cls = [0] * (n + 1)
+    # in a class walk, pm[j] is the parity mask of the row U[j]
     pm = [sum((a & 1) << i for i, a in enumerate(row)) for row in U] if classes else None
 
     def emit(wj, U_tot, mult):
@@ -370,37 +400,40 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
         stop.append(True)
 
     def memo_key(j, cent, rem):
+        # the subtree's key and, in a class walk, its parity mask
         cent = cent[:]
-        for i in range(j, 0, -1):
+        mask = 0
+        for i in range(j, -1, -1):
             k, cent[i] = divmod(cent[i], period[i])
             if k:
+                if classes and k & 1:
+                    mask ^= pm[i]
                 kd = k * delta
                 lami = lam_rows[i]
                 for l in range(i):
                     cent[l] -= lami[l] * kd
-        cent[0] %= period[0]
         cent.append(rem)
-        return tuple(cent)
+        return tuple(cent), mask
 
-    def level(j, cacc, rem, zero_pref, acc, out, wj, hi):
+    def level(j, cacc, rem, zero_pref, acc, out, wj, hi, kc, mout):
         # walks w_j = wj, wj + delta, ..., hi, pushing each vector's scaled
-        # norm plus acc into out
+        # norm plus acc into out and, in a class walk, its class (that of
+        # levels <= j xor kc) with its least norm plus acc into mout
         nonlocal memo
         nodes[j] += 1
         c = cacc[j]
         dj, mj = d[j], m[j]
         if j == 0:
-            if mins is not None:
-                k0 = cls[1]
-                k1 = k0 ^ pm[0]
+            if classes:
+                k1 = kc ^ pm[0]
                 while wj <= hi:
                     Z = dj * wj + c
                     u = acc + mj * Z * Z
                     # a lattice walk is symmetric; x and -x share a class
                     out[u] = out.get(u, 0) + (1 if zero_pref and wj == 0 else 2)
-                    k = k1 if wj & 1 else k0
-                    if u < mins.get(k, u + 1):
-                        mins[k] = u
+                    k = k1 if wj & 1 else kc
+                    if u < mout.get(k, u + 1):
+                        mout[k] = u
                     wj += 1
                 return
             while wj <= hi:
@@ -417,6 +450,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
         lamj = lam_rows[j]
         jn = j - 1
         dn, mn, sn, ln = d[jn], m[jn], s[jn], lamj[jn]
+        kj = kc ^ pm[j] if classes else kc
         while wj <= hi:
             Z = dj * wj + c
             u = mj * Z * Z
@@ -438,32 +472,42 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
             if collect:
                 q = (wj - s[j]) // delta
                 xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
-            elif mins is not None:
-                cls[j] = cls[j + 1] ^ pm[j] if wj & 1 else cls[j + 1]
+            kn = kj if wj & 1 else kc
             child = [cacc[i] + lamj[i] * wj for i in range(j)]
             if memo is None or on_zero:
-                level(jn, child, r, on_zero, acc + u, out, wn, hn)
+                level(jn, child, r, on_zero, acc + u, out, wn, hn, kn, mout)
                 if stop:
                     return
             else:
-                key = memo_key(jn, child, r)
+                key, mask = memo_key(jn, child, r)
                 stats.lookups += 1
-                h = memo.get(key)
-                if h is None:
+                hit = memo.get(key)
+                if hit is None:
                     h = {}
-                    level(jn, child, r, False, 0, h, wn, hn)
+                    hm = {} if classes else None
+                    level(jn, child, r, False, 0, h, wn, hn, mask, hm)
+                    hit = h, (_pack_classes(hm) if classes else None)
                     if memo is not None:
                         if len(memo) < MEMO_LIMIT:
-                            memo[key] = h
+                            memo[key] = hit
                             stats.stored += 1
                         else:
                             memo = None
                             stats.memo_off = True
                 else:
                     stats.hits += 1
+                h, packed = hit
                 base = acc + u
                 for k, v in h.items():
                     out[k + base] = out.get(k + base, 0) + v
+                if packed:
+                    flip = kn ^ mask
+                    for v, cs in packed:
+                        v += base
+                        for k in cs:
+                            k ^= flip
+                            if v < mout.get(k, v + 1):
+                                mout[k] = v
             wj += delta
 
     # the top level's range, computed as each child's in level() with centre
@@ -473,7 +517,9 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     first = -hi + ((s[n - 1] + hi) % delta)
     if sym:
         first = max(first, s[n - 1] % delta)
-    level(n - 1, [0] * n, top, sym, 0, counts, first, hi)
+    level(n - 1, [0] * n, top, sym, 0, counts, first, hi, 0, mins)
+    # level refers to itself: break the cycle so the memo goes on return
+    del level
     return counts, (mins if classes else vecs), M * dmul * delta * delta, stats
 
 

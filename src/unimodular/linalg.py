@@ -23,7 +23,7 @@ def mat_copy(m):
 
 
 def mat_frac(m) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
 
 
 def transpose(m):

@@ -1,5 +1,6 @@
 """Lattice enumeration against brute-force boxes and classical counts."""
 
+import gc
 import itertools
 import math
 import random
@@ -406,13 +407,14 @@ def _class_minima_by_collect(L, R):
     """Least norm per mod-2 class of the coordinates, from collected vectors."""
     _, vecs = enumerate_short(L, R, collect=True)
     den, g = clear_denominators(L.gram)
-    n = L.dim
     out = {}
     for x in vecs:
-        c = sum((a & 1) << i for i, a in enumerate(x))
-        u = Fraction(sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)), den)
-        out[c] = min(out.get(c, u), u)
-    return out
+        nz = [(i, a) for i, a in enumerate(x) if a]
+        c = sum(1 << i for i, a in nz if a & 1)
+        u = sum(a * b * g[i][j] for i, a in nz for j, b in nz)
+        if u < out.get(c, u + 1):
+            out[c] = u
+    return {c: Fraction(u, den) for c, u in out.items()}
 
 
 def _random_integral_lattice(rng, n, even):
@@ -433,20 +435,63 @@ def _random_integral_lattice(rng, n, even):
 
 
 def test_class_walk_minima_match_collected_vectors():
+    # the class walk reuses the class maps of repeated subtrees, flipped by
+    # their parity masks; the collected vectors are the oracle
     rng = random.Random(3141)
-    cases = [(zn(3), 3), (zn(5), 2), (a15_plus_fixture(), 3), (d16_plus_fixture(), 3)]
+    a15, d16 = a15_plus_fixture(), d16_plus_fixture()
+    cases = [(zn(3), 3), (zn(5), 2), (a15, 3), (a15, 5), (d16, 3), (d16, 5)]
     for k in range(16):
         cases.append((_random_integral_lattice(rng, rng.randrange(2, 7), k % 2 == 0), 8))
-    skewed = 0
+    for k in range(8):
+        cases.append((_random_integral_lattice(rng, rng.randrange(5, 8), k % 2 == 0), 12))
+    skewed = random_hits = 0
     for L, R in cases:
         counts, mins, scale, stats = lattice._enum(L, R, classes=True)
         assert {c: Fraction(u, scale) for c, u in mins.items()} == _class_minima_by_collect(L, R)
         assert {Fraction(u, scale): v for u, v in counts.items()} == enumerate_short(L, R)
-        assert stats.lookups == 0
+        if L in (a15, d16):
+            assert stats.hits > 0
+        else:
+            random_hits += stats.hits > 0
         skewed += lattice._reduced_data(L)[1] != identity(L.dim)
-    assert skewed >= 12
+    assert skewed >= 16 and random_hits >= 12
     with pytest.raises(ValueError):
         lattice._enum(Coset(zn(2), [Fraction(1, 2), 0]), 2, classes=True)
+
+
+def test_class_walk_with_a_dropped_memo(monkeypatch):
+    # a memo that fills up midway is dropped and the rest of the walk pushes
+    # its classes down; counts and minima stay the same
+    for L, R in ((d16_plus_fixture(), 4), (a15_plus_fixture(), 3)):
+        want = lattice._enum(L, R, classes=True)
+        assert not want[3].memo_off
+        for limit in (1, 4):
+            with monkeypatch.context() as mp:
+                mp.setattr(lattice, "MEMO_LIMIT", limit)
+                counts, mins, scale, stats = lattice._enum(L, R, classes=True)
+            assert (counts, mins, scale) == want[:3]
+            assert stats.memo_off and stats.stored == limit
+
+
+def test_class_walk_needs_dimension_at_most_64():
+    # classes are packed into 64-bit words; the walk refuses before reducing
+    L = zn(65)
+    with pytest.raises(ValueError, match="64"):
+        lattice._enum(L, 1, classes=True)
+    assert L._reduced is None
+
+
+def test_class_walk_leaves_no_reference_cycles():
+    # the walk's memo is freed on return, not at the next cyclic collection
+    L = d16_plus_fixture()
+    lattice._reduced_data(L)
+    gc.collect()
+    gc.disable()
+    try:
+        assert lattice._enum(L, 4, classes=True)[3].hits > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_find_any_skips_zero_in_shifted_coset():
