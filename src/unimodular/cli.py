@@ -180,6 +180,16 @@ def _cmd_construct_code(args) -> int:
     return 0
 
 
+def _built_line(L: Lattice) -> str:
+    """'<name>: dim n, odd unimodular' (or even), or 'not unimodular
+    (<detail>)' with check_unimodular's detail."""
+    kind = check_unimodular(L)
+    if kind in ("odd", "even"):
+        return "%s: dim %d, %s unimodular" % (L.name, L.dim, kind)
+    detail = kind[len("not-unimodular("):-1]
+    return "%s: dim %d, not unimodular (%s)" % (L.name, L.dim, detail)
+
+
 def _cmd_construct_glue(args) -> int:
     base = _load_lattice(args.base)
     if args.images:
@@ -194,7 +204,7 @@ def _cmd_construct_glue(args) -> int:
         print("found doubling map at target %d: images %s"
               % (glue.target, ",".join(str(x) for x in glue.images)))
     L = constructions.glue_double(base, glue)
-    print("%s: dim %d, %s unimodular" % (L.name, L.dim, check_unimodular(L)))
+    print(_built_line(L))
     if args.verify_min is not None:
         ok = verify_min_norm(L, args.verify_min)
         print("minimal norm %s: %s" % (args.verify_min, "verified" if ok else "FAIL"))
@@ -209,7 +219,7 @@ def _cmd_construct_shave(args) -> int:
     L = _load_lattice(args.lattice)
     v = [int(x) for x in args.vector.split(",")]
     M = constructions.project_shave(L, v)
-    print("%s: dim %d, %s unimodular" % (M.name, M.dim, check_unimodular(M)))
+    print(_built_line(M))
     if args.verify_min is not None:
         ok = verify_min_norm(M, args.verify_min)
         print("minimal norm %s: %s" % (args.verify_min, "verified" if ok else "FAIL"))

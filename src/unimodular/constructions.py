@@ -14,6 +14,10 @@ lattice is at hand:
   * shaving: projecting the sublattice {x : x.v even} of a unimodular
     lattice along a norm-4 vector v yields a unimodular lattice one
     dimension lower, losing at most 1 from the minimal norm.
+
+Both builds run on integer matrices: the integer Gram of L, the HNF of
+integer rows, and the generators of L cleared to a common denominator.
+Fractions are made once, for the Gram matrix and generators of the result.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import xor
+from functools import cached_property, reduce
+from math import prod
+from operator import mul, xor
 
 from .lattice import Lattice, _enum, enumerate_short, has_vector_below, min_norm
 from .linalg import (
-    det_bareiss,
+    clear_denominators,
     hnf_rows,
     hnf_rows_frac,
     matmul,
@@ -85,11 +90,11 @@ def d16_plus_fixture() -> Lattice:
 
 
 def _int_gram(L: Lattice) -> list[list[int]]:
-    g = []
-    for row in L.gram:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("glue constructions need an integral lattice")
-        g.append([int(x) for x in row])
+    """The Gram matrix of L as ints (the one `Lattice` keeps cleared);
+    ValueError when some entry is not an integer."""
+    dg, g = L._cleared
+    if dg != 1:
+        raise ValueError("doubling and shaving need an integral lattice")
     return g
 
 
@@ -97,30 +102,46 @@ class _Mod2Space:
     """Bitmask model of (L/2L, bilinear form B, norm form q).
 
     Classes are integers whose bit i is the coefficient of basis vector i
-    mod 2; q is a table over all 2^m classes.  For an odd lattice
-    q(c) = |x|^2 mod 2 (a linear form); for an even lattice
-    q(c) = |x|^2/2 mod 2 (a genuine quadratic form).  The transvection
-    t_v : x -> x + B(x,v) v preserves both forms exactly when q(v) = 0
-    (odd case) or q(v) = 1 (even case).
+    mod 2.  For an odd lattice q(c) = |x|^2 mod 2 (a linear form); for an
+    even lattice q(c) = |x|^2/2 mod 2 (a genuine quadratic form).  `q_of`
+    reads q(c) off the integer Gram; `q` is the table over all 2^m
+    classes, built on first use.  The transvection t_v : x -> x + B(x,v) v
+    preserves both forms exactly when q(v) = 0 (odd case) or q(v) = 1
+    (even case).
     """
 
     def __init__(self, L: Lattice):
         g = _int_gram(L)
         m = L.dim
+        self.g = g
         self.m = m
         self.brows = [sum((g[i][j] & 1) << j for j in range(m)) for i in range(m)]
         self.even = all(g[i][i] % 2 == 0 for i in range(m))
         self.move_parity = 1 if self.even else 0
+
+    def q_of(self, c: int) -> int:
+        """q(c) for one class: |x|^2 mod 2, or |x|^2/2 mod 2 when L is even,
+        x the sum of the basis vectors in c."""
+        g = self.g
+        bits = [i for i in range(self.m) if c >> i & 1]
+        if not self.even:
+            return sum(g[i][i] for i in bits) & 1
+        return (sum(g[i][i] // 2 for i in bits)
+                + sum(g[i][j] for k, i in enumerate(bits) for j in bits[k + 1:])) & 1
+
+    @cached_property
+    def q(self) -> bytearray:
         # q(c + e_i) = q(c) + q(e_i) + B(c, e_i) for c below bit i (the
         # cross term vanishes mod 2 in the odd case)
+        g = self.g
         q = bytearray(1)
-        for i in range(m):
+        for i in range(self.m):
             if self.even:
                 qe, row = (g[i][i] // 2) & 1, self.brows[i]
                 q += bytes([x ^ qe ^ ((c & row).bit_count() & 1) for c, x in enumerate(q)])
             else:
                 q += bytes([x ^ (g[i][i] & 1) for x in q])
-        self.q = q
+        return q
 
     def b(self, x: int, v: int) -> int:
         acc = 0
@@ -135,14 +156,14 @@ class _Mod2Space:
                 sigma_e[i] ^= v
 
     def is_isometry(self, sigma_e: list[int]) -> bool:
-        if any(not 0 <= e < len(self.q) for e in sigma_e):
+        if any(not 0 <= e < 1 << self.m for e in sigma_e):
             return False
         try:
             _gf2_inverse(sigma_e)
         except ValueError:
             return False
         for i in range(self.m):
-            if self.q[sigma_e[i]] != self.q[1 << i]:
+            if self.q_of(sigma_e[i]) != self.q_of(1 << i):
                 return False
             for j in range(i, self.m):
                 if self.b(sigma_e[i], sigma_e[j]) != self.b(1 << i, 1 << j):
@@ -310,17 +331,6 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
 # doubling
 
 
-def _blockdiag2(g: list[list]) -> list[list]:
-    m = len(g)
-    zero = [Fraction(0)] * m
-    out = []
-    for i in range(m):
-        out.append(list(g[i]) + list(zero))
-    for i in range(m):
-        out.append(list(zero) + list(g[i]))
-    return out
-
-
 def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     """Double L against a mod-2 isometry into a 2m-dimensional unimodular
     lattice containing sqrt2*(L + L) with glue classes (u, sigma u)/sqrt2.
@@ -329,6 +339,11 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     coordinates below carry the inner product (1/2) * diag(G, G), so the
     doubled base rows 2e_i have norm 2 G_ii and the glue rows (e_i, sigma
     e_i) have norm (G_ii + |sigma e_i|^2)/2.
+
+    Everything runs on ints: the HNF basis B = [B_l | B_r] of those rows,
+    the integer Gram G and the cleared generators Gi / dG of L.  The Gram
+    is (B_l G B_l^T + B_r G B_r^T) / 2 and the generators are
+    [B_l Gi | B_r Gi] / dG; Fractions are made once, for the output.
     """
     images = list(glue.images if isinstance(glue, GlueMap) else glue)
     m = L.dim
@@ -354,16 +369,21 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
         rows.append(r)
     basis = hnf_rows(rows)
     assert len(basis) == 2 * m
-    assert abs(det_bareiss(basis)) == 1 << m  # index of the doubled base
-    half = Fraction(1, 2)
-    metric = _blockdiag2([[half * x for x in row] for row in L.gram])
-    gram = matmul(matmul(basis, metric), transpose(basis))
+    # the index of the doubled base: the HNF of a full-rank square matrix
+    # is upper triangular, so its determinant is the product of the pivots
+    assert prod(basis[i][i] for i in range(2 * m)) == 1 << m
+    left = [row[:m] for row in basis]
+    right = [row[m:] for row in basis]
+    g = space.g
+    gram = [[Fraction(a + b, 2) for a, b in zip(ra, rb)]
+            for ra, rb in zip(matmul(matmul(left, g), transpose(left)),
+                              matmul(matmul(right, g), transpose(right)))]
     gens = None
     if L.gens is not None:
-        left = matmul([row[:m] for row in basis], L.gens)
-        right = matmul([row[m:] for row in basis], L.gens)
-        gens = [a + b for a, b in zip(left, right)]
-    return Lattice(gram, gens=gens, scale_sq=L.scale_sq * half,
+        dG, Gi = clear_denominators(L.gens)
+        gens = [[Fraction(x, dG) for x in a + b]  # a + b concatenates the halves
+                for a, b in zip(matmul(left, Gi), matmul(right, Gi))]
+    return Lattice(gram, gens=gens, scale_sq=L.scale_sq / 2,
                    name=name or "double(%s)" % (L.name or "L"))
 
 
@@ -376,30 +396,38 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
 
     The image pi(x) = x - (x.v/4) v is a unimodular lattice of dimension
     dim(L) - 1; norms drop by (x.v)^2/4, so the minimal norm loses at most
-    1.  Coordinates of the result are still rational combinations of the
-    basis of L, and the Gram matrix is computed with the metric of L.
+    1.  L must be integral (ValueError otherwise), so that x.v is an
+    integer.  Coordinates of the result are still rational combinations of
+    the basis of L, and the Gram matrix is computed with the metric of L.
+
+    The kernel rows k of x.v mod 2 are scaled by 4 to the integer rows
+    4k - (k.Gv) v, whose HNF H is 4 times the HNF of the projected rows
+    (row HNF commutes with positive scaling).  The Gram is H G H^T / 16
+    and the generators are H Gi / (4 dG), Gi / dG the cleared generators
+    of L.
     """
     n = L.dim
     v = [int(x) for x in v]
     if len(v) != n:
         raise ValueError("expected %d coordinates" % n)
-    gv = [sum(L.gram[i][j] * v[j] for j in range(n)) for i in range(n)]
-    norm = sum(a * b for a, b in zip(v, gv))
+    g = _int_gram(L)
+    gv = [sum(map(mul, row, v)) for row in g]
+    norm = sum(map(mul, v, gv))
     if norm != 4:
         raise ValueError("shave vector must have norm 4, got %s" % norm)
-    parities = [int(x) % 2 for x in gv]
-    kernel = parity_kernel_basis(parities, n)
+    kernel = parity_kernel_basis([x & 1 for x in gv], n)
     rows = []
     for krow in kernel:
-        dot = sum(a * b for a, b in zip(krow, gv))
-        coeff = Fraction(dot, 4)
-        rows.append([Fraction(x) - coeff * w for x, w in zip(krow, v)])
-    basis = hnf_rows_frac(rows)
-    assert len(basis) == n - 1
-    gram = matmul(matmul(basis, L.gram), transpose(basis))
+        dot = sum(map(mul, krow, gv))
+        rows.append([4 * x - dot * w for x, w in zip(krow, v)])
+    basis4 = hnf_rows(rows)  # 4 times the basis of the result
+    assert len(basis4) == n - 1
+    gram = [[Fraction(x, 16) for x in row]
+            for row in matmul(matmul(basis4, g), transpose(basis4))]
     gens = None
     if L.gens is not None:
-        gens = matmul(basis, L.gens)
+        dG, Gi = clear_denominators(L.gens)
+        gens = [[Fraction(x, 4 * dG) for x in row] for row in matmul(basis4, Gi)]
     return Lattice(gram, gens=gens, scale_sq=L.scale_sq,
                    name=name or "shave(%s)" % (L.name or "L"))
 

@@ -1,5 +1,7 @@
 """CLI wiring: every subcommand, exit codes, JSON round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -183,6 +185,9 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["genus-bound", "--dim", "33", "--mass", "1/0"], None, 2),
     (["construct", "glue", "--base", "z2", "--images", "9,2"], None, 2),
     (["construct", "glue", "--base", "z2", "--images=-1,2"], None, 2),
+    # x.v is not an integer on a non-integral lattice
+    (["construct", "shave", "--lattice", "{file}", "--vector", "1,0"],
+     [[4, "1/2"], ["1/2", 1]], 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
@@ -193,6 +198,18 @@ def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if status == 2:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, gram, line", [
+    (["construct", "glue", "--base", "{file}", "--images", "1"], [[2]],
+     "double(L): dim 2, not unimodular (det=4)"),
+    (["construct", "shave", "--lattice", "{file}", "--vector", "0,1"], [[2, 0], [0, 4]],
+     "shave(L): dim 1, not unimodular (det=2)"),
+])
+def test_construct_reports_a_non_unimodular_result(tmp_path, capsys, argv, gram, line):
+    path = _gram_file(tmp_path, gram)
+    code, out, _ = run(capsys, *[path if a == "{file}" else a for a in argv])
+    assert code == 0 and out == line + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,3 +240,68 @@ def test_numpy_is_never_imported():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the construct commands
+
+_ENTRIES = ["0", "1", "-1", "2", "3", "4", "1/2", "-1/2", "3/2"]
+
+
+def _fuzz_cases():
+    """(Gram entries, command, coordinates, --verify-min) for `construct
+    shave` and `construct glue` on small symmetric rational Grams."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(1, 4))
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = draw(st.sampled_from(_ENTRIES))
+        what = draw(st.sampled_from(["shave", "glue"]))
+        length = draw(st.sampled_from([n] * 6 + [n - 1, n + 1]))
+        if what == "shave":
+            coords = draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length))
+        else:
+            coords = draw(st.lists(st.integers(-1, (1 << n) + 1),
+                                   min_size=length, max_size=length))
+        verify = draw(st.sampled_from([None, None, 1, 2]))
+        return gram, what, coords, verify
+
+    return case()
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_construct_fuzz(tmp_path_factory):
+    # every input exits 0, 2 after a failed --verify-min, or 2 with one
+    # `error:` line; an exception escaping main() would be a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path_factory.mktemp("fuzz") / "gram.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_fuzz_cases())
+    def check(case):
+        gram, what, coords, verify = case
+        path.write_text(json.dumps({"dim": len(gram), "gram": gram}))
+        flag, arg = ("--vector", "--lattice") if what == "shave" else ("--images", "--base")
+        argv = ["construct", what, arg, str(path),
+                "%s=%s" % (flag, ",".join(map(str, coords)))]
+        if verify is not None:
+            argv += ["--verify-min", str(verify)]
+        code, out, err = _run_quietly(argv)
+        if code == 2 and err:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        else:
+            assert code == 0 or (code == 2 and "FAIL" in out), (code, out, err)
+            assert err == ""
+
+    check()

@@ -27,6 +27,7 @@ from unimodular.constructions import (
     project_shave,
 )
 from unimodular.lattice import (
+    Lattice,
     check_unimodular,
     enumerate_short,
     min_norm,
@@ -35,6 +36,7 @@ from unimodular.lattice import (
     verify_min_norm,
     zn,
 )
+from unimodular.linalg import hnf_rows, hnf_rows_frac, matmul, parity_kernel_basis, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,16 @@ def test_glue_double_rejects_bad_maps():
         glue_double(zn(2), (3, 2))  # e0 -> e0+e1 changes the norm parity
     with pytest.raises(ValueError):
         glue_double(zn(2), (1,))  # wrong length
+    # on an even lattice, t_v with q(v) = 0 keeps B but not q
+    D = d16_plus_fixture()
+    space = _Mod2Space(D)
+    v = next(c for c in range(1, 1 << space.m) if space.q_of(c) == 0)
+    sigma = [1 << i for i in range(space.m)]
+    space.apply_transvection(sigma, v)
+    assert all(space.b(sigma[i], sigma[j]) == space.b(1 << i, 1 << j)
+               for i in range(space.m) for j in range(space.m))
+    with pytest.raises(ValueError):
+        glue_double(D, sigma)
 
 
 def test_glue_map_json():
@@ -164,6 +176,109 @@ def test_low_class_bad_set_matches_full_scan(build, tgt):
 
 
 # ---------------------------------------------------------------------------
+# the integer builds against the rational formulas
+
+
+def _doubling_oracle(L, images):
+    """The doubling as rationals: gram = basis diag(G, G)/2 basis^T over the
+    HNF of the doubled base and glue rows, gens = [B_l gens | B_r gens]."""
+    m = L.dim
+    rows = []
+    for i in range(m):
+        rows.append([2 if j == i else 0 for j in range(2 * m)])
+        rows.append([2 if j == m + i else 0 for j in range(2 * m)])
+    for i in range(m):
+        rows.append([1 if j == i else 0 for j in range(m)]
+                    + [images[i] >> j & 1 for j in range(m)])
+    basis = hnf_rows(rows)
+    zero = [Fraction(0)] * m
+    metric = ([[x / 2 for x in row] + zero for row in L.gram]
+              + [zero + [x / 2 for x in row] for row in L.gram])
+    gram = matmul(matmul(basis, metric), transpose(basis))
+    left = matmul([r[:m] for r in basis], L.gens)
+    right = matmul([r[m:] for r in basis], L.gens)
+    gens = [a + b for a, b in zip(left, right)]
+    return gram, gens, L.scale_sq / 2, "double(%s)" % L.name
+
+
+def _shave_oracle(L, v):
+    """The shave as rationals: hnf_rows_frac of the rows k - (k.Gv/4) v over
+    the kernel of x.v mod 2, and the Gram in the metric of L."""
+    n = L.dim
+    gv = [sum(L.gram[i][j] * v[j] for j in range(n)) for i in range(n)]
+    kernel = parity_kernel_basis([int(x) % 2 for x in gv], n)
+    rows = []
+    for k in kernel:
+        coeff = sum(a * b for a, b in zip(k, gv)) / 4
+        rows.append([x - coeff * w for x, w in zip(k, v)])
+    basis = hnf_rows_frac(rows)
+    gram = matmul(matmul(basis, L.gram), transpose(basis))
+    return gram, matmul(basis, L.gens), L.scale_sq, "shave(%s)" % L.name
+
+
+def _assert_same(M, oracle):
+    gram, gens, scale_sq, name = oracle
+    assert M.gram == gram and M.gens == gens
+    assert (M.scale_sq, M.name) == (scale_sq, name)
+
+
+def _random_isometry(L, rng):
+    space = _Mod2Space(L)
+    sigma = [1 << i for i in range(space.m)]
+    for _ in range(4 * space.m):
+        v = rng.randrange(1, 1 << space.m)
+        if space.q[v] == space.move_parity:
+            space.apply_transvection(sigma, v)
+    return sigma
+
+
+def test_glue_double_matches_rational_formula():
+    for build, tgt in ((a15_plus_fixture, 3), (d16_plus_fixture, 4)):
+        L = build()
+        for seed in range(8):
+            images = find_glue(L, tgt, seed=seed).images
+            _assert_same(glue_double(L, images), _doubling_oracle(L, images))
+    rng = random.Random(10)
+    for n in (4, 6):
+        L = zn(n)
+        for _ in range(6):
+            images = _random_isometry(L, rng)
+            _assert_same(glue_double(L, images), _doubling_oracle(L, images))
+
+
+def _norm4_vectors(L, count, rng, skip):
+    """`count` distinct norm-4 vectors other than `skip`, among the basis
+    vectors and the sums and differences of two of them."""
+    n, g = L.dim, L.gram
+    cands = [tuple(int(k == i) for k in range(n)) for i in range(n) if g[i][i] == 4]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                if g[i][i] + g[j][j] + 2 * s * g[i][j] == 4:
+                    cands.append(tuple(1 if k == i else s if k == j else 0
+                                       for k in range(n)))
+    return rng.sample([c for c in cands if c != skip], count)
+
+
+def test_project_shave_matches_rational_formula(glue30, glue32):
+    rng = random.Random(11)
+    cases = [(zn(4), v) for v in ((1, 1, 1, 1), (2, 0, 0, 0), (1, -1, 1, -1), (0, 0, -2, 0))]
+    for L, frozen in ((glue30, SHAVE_30), (glue32, SHAVE_32)):
+        cases += [(L, v) for v in _norm4_vectors(L, 8, rng, frozen) + [frozen]]
+    for L, v in cases:
+        assert L.norm_of(v) == 4
+        _assert_same(project_shave(L, v), _shave_oracle(L, v))
+
+
+@pytest.mark.parametrize("build", [a15_plus_fixture, d16_plus_fixture, lambda: zn(5)])
+def test_direct_norm_form_matches_table(build):
+    space = _Mod2Space(build())
+    assert space.is_isometry([1 << i for i in range(space.m)])
+    assert "q" not in vars(space)  # the isometry check never builds the table
+    assert [space.q_of(c) for c in range(1 << space.m)] == list(space.q)
+
+
+# ---------------------------------------------------------------------------
 # the frozen 30- and 32-dimensional doublings
 
 
@@ -205,6 +320,10 @@ def test_project_shave_guards():
         project_shave(zn(4), (1, 0, 0, 0))  # norm 1
     with pytest.raises(ValueError):
         project_shave(zn(4), (1, 1, 1))  # wrong length
+    half = Lattice([[4, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    assert half.norm_of((1, 0)) == 4
+    with pytest.raises(ValueError, match="integral lattice"):
+        project_shave(half, (1, 0))  # x.v is not an integer
 
 
 def test_find_shave_vector_on_z4():
