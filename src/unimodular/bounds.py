@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import clear_denominators
 from .qseries import (
@@ -246,10 +246,17 @@ def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
     """Check whether k norm-s shadow vectors can coexist in dimension n.
 
     For distinct shadow vectors u, v (no antipodal pairs among the k), both
-    u-v and u+v are nonzero lattice vectors, u-v lies in the even
-    sublattice, and neither is shorter than mu.  That confines t = u.v to
+    u-v and u+v are nonzero lattice vectors, neither shorter than mu, and
+    |t| < s for t = u.v.  The shadow is the two cosets of the even
+    sublattice L0 in L0* outside L.  For odd n, L0*/L0 is Z/4, the two
+    cosets are each other's negatives, and choosing from each antipodal
+    pair the vector in one fixed coset puts every u-v in L0, so |u-v|^2 is
+    even.  For even n, L0*/L0 is (Z/2)^2, each coset is its own negative,
+    and the k vectors may split across the cosets; for u, v in different
+    cosets u-v lies in L but not in L0, so |u-v|^2 is odd.  That confines t
+    to
 
-        T = { t : |t| < s, 2s-2t an even integer >= mu rounded up to even,
+        T = { t : |t| < s, 2s-2t an integer >= mu (even for odd n),
                            2s+2t an integer >= mu }.
 
     If T = {b}, the Gram matrix of the k vectors is (s-b)I + bJ with
@@ -260,14 +267,15 @@ def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
     s = Fraction(s)
     if s <= 0:
         raise ValueError("shadow norm must be positive")
-    # q1 = |u-v|^2 is even and at least mu; |u+v|^2 = 4s - q1 is an integer
-    # exactly when 4s is, and must be at least mu; |t| < s means q1 < 4s.
-    # So q1 runs over the even integers from mu rounded up to even to
+    # q1 = |u-v|^2 is at least mu (and even for odd n); |u+v|^2 = 4s - q1 is
+    # an integer exactly when 4s is, and must be at least mu; |t| < s means
+    # 0 < q1 < 4s.  So q1 runs from mu (rounded up to even for odd n) to
     # min(4s - mu, 4s - 1), and t = s - q1/2 = (4s - 2 q1)/4.
     tset = []
     if (4 * s).denominator == 1:
         s4 = int(4 * s)
-        q1s = range(mu + (mu % 2), min(s4 - mu, s4 - 1) + 1, 2)
+        top = min(s4 - mu, s4 - 1)
+        q1s = range(mu + (mu % 2), top + 1, 2) if n % 2 else range(mu, top + 1)
         tset = [Fraction(s4 - 2 * q1, 4) for q1 in reversed(q1s)]
     base = dict(dim=n, mu=mu, s=s, k=k, tset=tuple(tset))
     if k < 2:
@@ -306,16 +314,39 @@ def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
 
 @dataclass
 class Branch:
-    """One assignment of the free coefficients, with its verdict."""
+    """One assignment of the free coefficients, with its verdict.
+
+    A complete branch (every free coefficient assigned) keeps the scan's
+    `fit`; its coefficients, and its theta and shadow series through
+    `lattice_theta` / `shadow_theta`, are derived from the fit and the
+    assignment, each built once, on first read.  A branch cut off while
+    the free coefficients were resolved has no fit, coefficients or series.
+    """
 
     assignment: dict
     verdict: str
     reason: str | None = None
     detail: str | None = None
-    coeffs: list | None = None
-    theta: QSeries | None = None
-    shadow: QSeries | None = None
     obstruction: GramCheck | None = None
+    fit: ThetaFit | None = None
+
+    @cached_property
+    def coeffs(self) -> list | None:
+        return None if self.fit is None else self.fit.resolved(self.assignment)
+
+    @cached_property
+    def theta(self) -> QSeries | None:
+        if self.fit is None:
+            return None
+        th = lattice_theta(self.fit.dim, self.coeffs, self.fit.trunc)
+        assert th.coeff(0) == 1
+        return th
+
+    @cached_property
+    def shadow(self) -> QSeries | None:
+        if self.fit is None:
+            return None
+        return shadow_theta(self.fit.dim, self.coeffs, self.fit.trunc)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -452,8 +483,11 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
     norm mu/2) pins a_j to finitely many integers.  The last free
     coefficient is additionally bounded by nonnegativity over the whole
     checked window of both series.  Every complete assignment is then
-    checked window-wide, one rule at a time in severity order, so a branch
-    reports the shallowest rule that kills it.
+    checked on that window (the shadow on `_shadow_grid`, theta at
+    q^mu .. q^(mu+4)), read off the int window the resolution already
+    carries, one rule at a time in severity order, so a branch reports the
+    shallowest rule that kills it.  No series is built for the check: a
+    branch builds its theta and shadow series only when they are read.
     """
     if trunc is None:
         trunc = default_trunc(n, mu)
@@ -483,16 +517,16 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
     fixed0 = [sum(a * w[k] for a, w in zip(fit.coeffs, step) if a)
               for k in range(len(step[0]))]
 
-    def final_check(assignment: dict) -> Branch:
-        coeffs = fit.resolved(assignment)
-        th = lattice_theta(n, coeffs, trunc)
-        sh = shadow_theta(n, coeffs, trunc)
-        br = Branch(dict(assignment), FEASIBLE, coeffs=coeffs, theta=th, shadow=sh)
-        assert th.coeff(0) == 1
-        # the stored normal-form coefficients (ints where integral) keep the
-        # rules below in int arithmetic; none of them divides
-        svals = [(e, sh.terms.get(e, 0)) for e in grid]
-        tvals = [(m, th.terms.get(4 * m, 0)) for m in range(1, mu + 5) if 4 * m < trunc]
+    def final_check(assignment: dict, fixed: list[int]) -> Branch:
+        # `fixed` is the branch's window over `den`; in normal form (ints
+        # where integral) it keeps the rules below in int arithmetic, and
+        # none of them divides.  Theta below q^mu needs no check: the
+        # forced part vanishes there (no prefix residual) and every free
+        # a_j has j >= mu, with delta8^j vanishing below q^j.
+        br = Branch(dict(assignment), FEASIBLE, fit=fit)
+        vals = [Fraction(c, den) if c % den else c // den for c in fixed]
+        svals = list(zip(grid, vals))
+        tvals = [(e // 4, c) for e, c in zip(tgrid, vals[len(grid):])]
 
         def kill(reason: str, detail: str) -> Branch:
             br.verdict, br.reason, br.detail = INFEASIBLE, reason, detail
@@ -533,7 +567,7 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
         if overflow:
             return
         if idx < 0:
-            branches.append(final_check(assignment))
+            branches.append(final_check(assignment, fixed))
             return
         j = free[idx]
         last = idx == 0
@@ -703,12 +737,16 @@ class BoundCertificate:
 def mu_upper(n: int) -> BoundCertificate:
     """Certified upper bound on the minimal norm of any n-dimensional
     unimodular lattice: the largest mu that survives the odd scan, or the
-    even extremal bound when 8 | n, whichever is larger."""
+    even extremal bound when 8 | n, whichever is larger.
+
+    Only an infeasible scan eliminates a minimal norm.  The odd bound is
+    the mu of the witness, the first scan below the elimination that is not
+    infeasible: feasible, or inconclusive when the scan cannot decide."""
     if n < 1:
         raise ValueError("dimension must be positive")
     mu = n // 8 + 2
     report = feasibility_scan(n, mu)
-    while report.feasible:  # safety: should not trigger below dim 48
+    while report.verdict != INFEASIBLE:  # safety: should not trigger below dim 48
         mu += 1
         if mu > n // 8 + 8:
             raise AssertionError("odd scan failed to terminate at n=%d" % n)
@@ -717,14 +755,13 @@ def mu_upper(n: int) -> BoundCertificate:
     witness = None
     while mu > 1:
         lower = feasibility_scan(n, mu - 1)
-        if lower.feasible:
+        if lower.verdict != INFEASIBLE:
             witness = lower
             break
         elimination = lower
         mu -= 1
     if witness is None:
-        witness = feasibility_scan(n, 1)
-        assert witness.feasible, "Z^n must pass the scan"
+        raise AssertionError("Z^n must pass the scan")
     odd_mu = witness.mu
     ev = even_extremal_scan(n)
     even_mu = ev.mu if ev is not None else 0

@@ -141,25 +141,22 @@ class CountBound:
 DEFAULT_MASS_33 = Fraction(1407) * 10 ** 18
 
 
-def mass_count_bound(avg: AverageTheta, mass=None,
-                     mass_is_approximate: bool | None = None) -> CountBound:
+def mass_count_bound(avg: AverageTheta, mass=None) -> CountBound:
     """Bound the number of minimal-norm->=3 classes in the genus.
 
     The total count of norm-1 and norm-2 vectors over the genus is
     (A_1 + A_2) * M = 2 M_2 + 4 M_4 + ... >= 2 (M - M_0), where M_(2k) is
     the mass of classes with exactly 2k such vectors.  Hence
     M_0 >= M (1 - (A_1 + A_2)/2), and |Aut| >= 2 turns mass into a count:
-    #classes >= 2 M_0.
+    #classes >= 2 M_0.  A given mass is taken as exact; the default
+    (DEFAULT_MASS_33, dimension 33 only) is marked approximate.
     """
+    mass_is_approximate = mass is None
     if mass is None:
         if avg.dim != 33:
             raise ValueError("no default mass known for dimension %d" % avg.dim)
         mass = DEFAULT_MASS_33
-        if mass_is_approximate is None:
-            mass_is_approximate = True
     mass = Fraction(mass)
-    if mass_is_approximate is None:
-        mass_is_approximate = False
     a1 = avg.coeff_norm(1)
     a2 = avg.coeff_norm(2)
     m0 = mass * (1 - (a1 + a2) / 2)

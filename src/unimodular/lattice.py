@@ -372,32 +372,28 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     mins = {} if classes else None
     memo = {} if vecs is None else None
     nodes = stats.nodes
-    w = [0] * n
     lam_rows = [lam[j][:j] for j in range(n)]
     period = [dj * delta for dj in d]
     stop = []
-    # when collecting, xo[j] holds the original-basis coordinates of the
-    # part x_red[j:] . U[j:] fixed above level j, so each vector costs O(n);
-    # a mirror vector is -x - (2s/delta) . U
+    # when collecting or finding, xo[j] holds the original-basis coordinates
+    # of the part x_red[j:] . U[j:] fixed above level j, so each vector costs
+    # O(n); a mirror vector is -x - (2s/delta) . U
     xo = [None] * n + [[0] * n]
     shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
     # in a class walk, pm[j] is the parity mask of the row U[j]
     pm = [sum((a & 1) << i for i, a in enumerate(row)) for row in U] if classes else None
 
-    def emit(wj, U_tot, mult):
+    def emit(wj, u, mult):
+        q = (wj - s[0]) // delta
+        v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
         if collect:
-            q = (wj - s[0]) // delta
-            v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
             vecs.append(v)
             if mult == 2:
                 vecs.append(tuple([-a - b for a, b in zip(v, shift)]))
-            return
-        if U_tot == 0:
-            return
-        w[0] = wj
-        x_red = [(wi - si) // delta for wi, si in zip(w, s)]
-        vecs.append(tuple(vecmat(x_red, U)))
-        stop.append(True)
+        elif u:
+            # first_only: the first nonzero vector ends the walk
+            vecs.append(v)
+            stop.append(True)
 
     def memo_key(j, cent, rem):
         # the subtree's key and, in a class walk, its parity mask
@@ -468,8 +464,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
             if wn > hn:
                 wj += delta
                 continue
-            w[j] = wj
-            if collect:
+            if vecs is not None:
                 q = (wj - s[j]) // delta
                 xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
             kn = kj if wj & 1 else kc

@@ -50,10 +50,6 @@ def matmul(a, b):
     return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in ai]
 
 
-def matvec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
 def vecmat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
 
@@ -137,21 +133,6 @@ def det_frac(m) -> Fraction:
         return Fraction(1)
     d, mi = clear_denominators(mat_frac(m))
     return Fraction(det_bareiss(mi), d ** n)
-
-
-def gram_minors(g) -> list[int]:
-    """Leading principal minors d_0..d_{n-1} of an integer Gram matrix.
-
-    Raises ValueError unless all are positive (positive definiteness).
-    """
-    n = len(g)
-    mins = []
-    for k in range(1, n + 1):
-        d = det_bareiss([row[:k] for row in g[:k]])
-        if d <= 0:
-            raise ValueError(f"matrix is not positive definite (minor {k} = {d})")
-        mins.append(d)
-    return mins
 
 
 def integral_gso(g):

@@ -1,11 +1,14 @@
 """Feasibility scanner: prefix fits, obstructions, scans, certified bounds."""
 
 import gc
+import hashlib
+import json
 import weakref
 from fractions import Fraction
 
 import pytest
 
+from unimodular import bounds
 from unimodular.bounds import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -29,7 +32,7 @@ from unimodular.bounds import (
     table1,
     theta_basis,
 )
-from unimodular.lattice import theta_by_enumeration, zn
+from unimodular.lattice import enumerate_short, shadow_cosets, theta_by_enumeration, zn
 from unimodular.qseries import delta8, theta2, theta3, theta4
 
 
@@ -120,8 +123,9 @@ def test_gram_obstruction_admissible_singleton():
 
 
 def test_gram_obstruction_negative_eigenvalue():
-    # T = {-1/4} and s + (k-1)b = 7/4 - 2 < 0
-    g = gram_obstruction(50, Fraction(7, 4), 9, 3)
+    # T = {-1/4} and s + (k-1)b = 7/4 - 2 < 0 (odd n; 7/4 is a shadow norm
+    # when n = 7 mod 8)
+    g = gram_obstruction(55, Fraction(7, 4), 9, 3)
     assert g.contradiction
     assert g.tset == (Fraction(-1, 4),)
     assert "negative eigenvalue" in g.detail
@@ -136,27 +140,59 @@ def test_gram_obstruction_inconclusive_cases():
         gram_obstruction(10, 0, 5, 2)
 
 
-def _tset_by_definition(s, mu):
-    """The admissible inner products, straight from the definition."""
+def _tset_by_definition(n, s, mu):
+    """The admissible inner products, straight from the definition:
+    q1 = |u-v|^2 >= mu is even for odd n and any integer for even n."""
     expect = []
-    q1 = mu + (mu % 2)
+    odd = n % 2
+    q1 = mu + (mu % 2) if odd else mu
     while q1 < 4 * s:
         t = s - Fraction(q1, 2)
         p2 = 4 * s - q1
         if p2.denominator == 1 and p2 >= mu:
             expect.append(t)
-        q1 += 2
+        q1 += 2 if odd else 1
     return sorted(expect)
 
 
 def test_gram_obstruction_tset_definition():
     grid = [Fraction(e, 4) for e in range(1, 81)]
-    for s in grid + [Fraction(1, 3), Fraction(7, 6)]:
-        for mu in range(1, 9):
-            g = gram_obstruction(40, s, 3, mu)
-            assert list(g.tset) == _tset_by_definition(s, mu), (s, mu)
-    # off the quarter grid |u+v|^2 is never an integer
-    assert gram_obstruction(40, Fraction(7, 6), 3, 1).tset == ()
+    for n in (33, 40):
+        for s in grid + [Fraction(1, 3), Fraction(7, 6)]:
+            for mu in range(1, 9):
+                g = gram_obstruction(n, s, 3, mu)
+                assert list(g.tset) == _tset_by_definition(n, s, mu), (n, s, mu)
+        # off the quarter grid |u+v|^2 is never an integer
+        assert gram_obstruction(n, Fraction(7, 6), 3, 1).tset == ()
+
+
+def test_gram_obstruction_even_dimension_splits_shadow_cosets():
+    # Z^4's shadow (Z + 1/2)^4 is two cosets of the even sublattice, 8
+    # norm-1 vectors each; each coset is its own negative, and across the
+    # cosets u.v = +-1/2, which an even |u-v|^2 would rule out
+    cosets = shadow_cosets(zn(4))
+    g0 = cosets[0].base.gram  # both are cosets of the even sublattice
+    vecs = []
+    for c in cosets:
+        counts, xs = enumerate_short(c, 1, collect=True)
+        assert counts == {1: 8}
+        vecs += [[a + b for a, b in zip(x, c.offset)] for x in xs]
+    g = gram_obstruction(4, 1, len(vecs) // 2, 1)
+    assert not g.contradiction
+    seen = set()
+    for i, u in enumerate(vecs):
+        for v in vecs[i + 1:]:
+            t = sum(u[a] * g0[a][b] * v[b] for a in range(4) for b in range(4))
+            if t != -1:  # not an antipodal pair
+                seen.add(t)
+    assert seen == {Fraction(-1, 2), 0, Fraction(1, 2)}
+    assert seen <= set(g.tset)
+
+
+def test_scan_zn_passes_at_norm_1():
+    # Z^n exists, so no scan may eliminate minimal norm 1
+    for n in range(1, 18):
+        assert feasibility_scan(n, 1).feasible, n
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +323,45 @@ def test_scan_monotone_in_mu():
     assert feasibility_scan(16, 1).feasible  # Z^16 itself
 
 
+def _scans():
+    """Every scan with 1 <= n <= 40 and 1 <= mu <= n//8 + 3, in that order."""
+    for n in range(1, 41):
+        for mu in range(1, n // 8 + 4):
+            yield feasibility_scan(n, mu)
+
+
+def test_complete_branches_vanish_below_mu():
+    # the scan checks theta from q^mu on only: below it the forced part
+    # vanishes and every free a_j (j >= mu) multiplies delta8^j = O(q^j)
+    complete = 0
+    for r in _scans():
+        for b in r.branches:
+            if b.coeffs is not None:
+                complete += 1
+                assert b.theta.coeff(0) == 1
+                for m in range(1, r.mu):
+                    assert b.theta.coeff(4 * m) == 0, (r.dim, r.mu, b.assignment, m)
+    assert complete > 100
+
+
+def test_scan_and_table_digest():
+    h = hashlib.sha256()
+    for r in _scans():
+        h.update(json.dumps(r.to_json_dict(), sort_keys=True).encode())
+    h.update(json.dumps(table1(8, 40), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "a264f28446657708841b011664dd429ff4301f180d24ee25b0111e988e23ffe9")
+
+
+def test_branch_series_built_on_read():
+    r = feasibility_scan(33, 4)
+    for b in r.branches:
+        assert {"coeffs", "theta", "shadow"}.isdisjoint(vars(b))
+    b = r.branches[0]
+    assert b.shadow is b.shadow and "theta" not in vars(b)
+    assert b.theta is b.theta
+
+
 def test_scan_summary_line():
     assert feasibility_scan(33, 4).summary() == "n=33 mu=4: infeasible (rank obstruction)"
 
@@ -341,6 +416,35 @@ def test_mu_upper_certificates():
     assert c.mu_upper == 3 and c.even_scan is None
     c = mu_upper(32)
     assert (c.mu_upper, c.odd_mu, c.even_mu) == (4, 4, 4)
+    assert mu_upper(4).mu_upper == 1
+
+
+def test_mu_upper_eliminates_only_by_infeasible_scans():
+    certs = {n: mu_upper(n) for n in range(1, 49)}
+    for n, c in certs.items():
+        assert c.odd_elimination.verdict == INFEASIBLE, n
+        assert c.odd_witness.verdict != INFEASIBLE, n
+        assert c.odd_elimination.mu == c.odd_witness.mu + 1 == c.odd_mu + 1, n
+    # no scan decides mu = 4 in dimensions 45..47; mu = 5 is eliminated
+    for n in (45, 46, 47):
+        assert certs[n].odd_witness.verdict == INCONCLUSIVE and certs[n].odd_mu == 4, n
+
+
+def test_mu_upper_steps_up_over_an_inconclusive_scan(monkeypatch):
+    # no dimension up to 48 starts the upward search on an inconclusive
+    # scan, so fake one: (9, 3) cannot eliminate, and (9, 4) must
+    real = bounds.feasibility_scan
+
+    def scan(n, mu, trunc=None):
+        r = real(n, mu, trunc)
+        if (n, mu) == (9, 3):
+            r.verdict = INCONCLUSIVE
+        return r
+
+    monkeypatch.setattr(bounds, "feasibility_scan", scan)
+    c = mu_upper(9)
+    assert c.odd_elimination.mu == 4 and c.odd_elimination.verdict == INFEASIBLE
+    assert c.odd_witness.mu == c.odd_mu == 3
 
 
 def test_table1_rows():

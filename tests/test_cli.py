@@ -60,6 +60,9 @@ def test_bound_certificate(capsys):
     code, out, _ = run(capsys, "bound", "--dim", "16", "--json")
     d = json.loads(out)
     assert d["mu_upper"] == 2 and d["dim"] == 16
+    # the scan at mu = 1 passes Z^4 (its shadow vectors split across two cosets)
+    code, out, _ = run(capsys, "bound", "--dim", "4")
+    assert code == 0 and "mu_upper(4) = 1" in out
 
 
 def test_theta_and_shadow(capsys):

@@ -9,7 +9,6 @@ from unimodular.linalg import (
     det_bareiss,
     det_frac,
     gauss_solve,
-    gram_minors,
     hnf_rows,
     hnf_rows_frac,
     identity,
@@ -18,7 +17,6 @@ from unimodular.linalg import (
     lll_reduce_gram,
     mat_inverse,
     matmul,
-    matvec,
     parity_kernel_basis,
     transpose,
 )
@@ -97,7 +95,7 @@ def test_gauss_solve_vector_and_matrix():
         if det_bareiss(a) == 0:
             continue
         x = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)]
-        b = matvec(a, x)
+        b = [sum(r * xi for r, xi in zip(row, x)) for row in a]
         assert gauss_solve(a, b) == x
         # a surplus row that the solution satisfies, then one it does not
         extra = [rng.randrange(-3, 4) for _ in range(n)]
@@ -191,7 +189,7 @@ def test_gauss_solve_overdetermined_and_inconsistent_match_oracle():
         extra.append([_random_rat(rng) for _ in range(n)])
         big = a + extra
         rng.shuffle(big)
-        b = matvec(big, x)
+        b = [sum(r * xi for r, xi in zip(row, x)) for row in big]
         assert _agrees_with_oracle(big, b) is None
         assert gauss_solve(big, b) == x
         # break one right-hand side: no solution any more
@@ -275,14 +273,17 @@ def _rational_gso(g):
     return mu, bstar
 
 
-def test_gram_minors_positive_definite_gate():
+def test_integral_gso_positive_definite_gate():
     rng = random.Random(5)
     g = _random_pd_gram(rng, 4)
-    mins = gram_minors(g)
-    assert all(d > 0 for d in mins)
-    assert mins[-1] == det_bareiss(g)
-    with pytest.raises(ValueError):
-        gram_minors([[1, 2], [2, 1]])  # det -3
+    d, _ = integral_gso(g)
+    assert all(x > 0 for x in d)
+    assert d[-1] == det_bareiss(g)
+    for bad in ([[1, 2], [2, 1]],  # det -3
+                [[1, 1], [1, 1]],  # det 0
+                [[0]], [[2, 0, 0], [0, 1, 0], [0, 0, -1]]):
+        with pytest.raises(ValueError):
+            integral_gso(bad)
 
 
 def test_integral_gso_consistency():
@@ -291,7 +292,7 @@ def test_integral_gso_consistency():
         n = rng.randrange(2, 6)
         g = _random_pd_gram(rng, n)
         d, lam = integral_gso(g)
-        assert d == gram_minors(g)
+        assert d == [det_bareiss([row[:k] for row in g[:k]]) for k in range(1, n + 1)]
         # lam[i][j] = d[j] * mu_ij; recompute mu from a rational GSO
         mu, _ = _rational_gso(g)
         for i in range(n):
