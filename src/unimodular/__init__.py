@@ -27,7 +27,6 @@ from .codes import (
     BUILTIN_CODES,
     BinaryCode,
     code_from_lines,
-    code_to_lines,
     code_to_odd_lattice,
     golay24,
     hamming8,
@@ -88,7 +87,6 @@ __all__ = [
     "build_shave31",
     "check_unimodular",
     "code_from_lines",
-    "code_to_lines",
     "code_to_odd_lattice",
     "d16_plus_fixture",
     "enumerate_short",

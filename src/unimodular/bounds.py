@@ -191,18 +191,18 @@ class ThetaFit:
         return out
 
 
-def solve_prefix(n: int, mu: int, trunc: int | None = None) -> ThetaFit:
+def solve_prefix(n: int, mu: int) -> ThetaFit:
     """Force a_0..a_(mu-1) from Theta_L = 1 + O(q^mu).
 
     The basis is unitriangular in the q-grading (delta8^j starts at q^j
     with coefficient 1), so the first min(mu, [n/8]+1) coefficients are
     determined; any further prefix equations are overdetermined checks and
-    land in prefix_residual when violated.
+    land in prefix_residual when violated.  The series are truncated at
+    `default_trunc(n, mu)`.
     """
     if mu < 1:
         raise ValueError("minimal norm target must be >= 1")
-    if trunc is None:
-        trunc = default_trunc(n, mu)
+    trunc = default_trunc(n, mu)
     basis = theta_basis(n, trunc)
     forced, residual = back_substitute(basis, [1] + [0] * (mu - 1), 4)
     # an integral unitriangular basis and integer targets force integers
@@ -231,7 +231,9 @@ def fit_from_theta(n: int, theta: QSeries) -> list[Fraction]:
 @dataclass
 class GramCheck:
     """Outcome of the pairwise inner-product test for k shadow vectors of
-    norm s in a lattice of minimal norm mu."""
+    norm s in a lattice of minimal norm mu: the admissible inner products
+    tset and whether the Gram matrix they force is impossible.  `detail`
+    explains the outcome, formatted from the fields when it is read."""
 
     dim: int
     mu: int
@@ -239,7 +241,27 @@ class GramCheck:
     k: int
     tset: tuple
     contradiction: bool
-    detail: str
+
+    @property
+    def detail(self) -> str:
+        k, s, tset = self.k, self.s, self.tset
+        if k < 2:
+            return "fewer than two vectors, nothing to compare"
+        if len(tset) == 0:
+            return "no admissible inner product (test inconclusive)"
+        if len(tset) > 1:
+            return "several admissible inner products %s" % ", ".join(rat_str(t) for t in tset)
+        b = tset[0]
+        lam2 = s + (k - 1) * b
+        if lam2 < 0:
+            return ("%d vectors of norm %s with pairwise inner product %s give "
+                    "a Gram matrix with negative eigenvalue %s"
+                    % (k, rat_str(s), rat_str(b), rat_str(lam2)))
+        rank = k - 1 + (lam2 > 0)
+        if rank > self.dim:
+            return ("%d vectors of norm %s with pairwise inner product %s span "
+                    "rank %d > dimension %d" % (k, rat_str(s), rat_str(b), rank, self.dim))
+        return "Gram matrix (s-b)I + bJ with b=%s is admissible (rank %d)" % (rat_str(b), rank)
 
 
 def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
@@ -277,35 +299,13 @@ def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
         top = min(s4 - mu, s4 - 1)
         q1s = range(mu + (mu % 2), top + 1, 2) if n % 2 else range(mu, top + 1)
         tset = [Fraction(s4 - 2 * q1, 4) for q1 in reversed(q1s)]
-    base = dict(dim=n, mu=mu, s=s, k=k, tset=tuple(tset))
-    if k < 2:
-        return GramCheck(**base, contradiction=False,
-                         detail="fewer than two vectors, nothing to compare")
-    if len(tset) == 0:
-        return GramCheck(**base, contradiction=False,
-                         detail="no admissible inner product (test inconclusive)")
-    if len(tset) > 1:
-        return GramCheck(**base, contradiction=False,
-                         detail="several admissible inner products %s"
-                                % ", ".join(rat_str(t) for t in tset))
-    b = tset[0]
-    lam2 = s + (k - 1) * b  # other eigenvalue s-b is positive since b < s
-    if lam2 < 0:
-        return GramCheck(
-            **base, contradiction=True,
-            detail="%d vectors of norm %s with pairwise inner product %s give "
-                   "a Gram matrix with negative eigenvalue %s"
-                   % (k, rat_str(s), rat_str(b), rat_str(lam2)))
-    rank = (k - 1) + (1 if lam2 > 0 else 0)
-    if rank > n:
-        return GramCheck(
-            **base, contradiction=True,
-            detail="%d vectors of norm %s with pairwise inner product %s span "
-                   "rank %d > dimension %d" % (k, rat_str(s), rat_str(b), rank, n))
-    return GramCheck(
-        **base, contradiction=False,
-        detail="Gram matrix (s-b)I + bJ with b=%s is admissible (rank %d)"
-               % (rat_str(b), rank))
+    contradiction = False
+    if k >= 2 and len(tset) == 1:
+        # the other eigenvalue s-b is positive since b < s; the rank is k-1
+        # plus one when lam2 > 0
+        lam2 = s + (k - 1) * tset[0]
+        contradiction = lam2 < 0 or k - 1 + (lam2 > 0) > n
+    return GramCheck(n, mu, s, k, tuple(tset), contradiction)
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +368,35 @@ class Branch:
 
 @dataclass
 class FeasibilityReport:
-    """Outcome of scanning dimension `dim` for minimal norm `mu`."""
+    """Outcome of scanning dimension `dim` for minimal norm `mu`.  A
+    feasible report's `theta` and `shadow` are the witness series of its
+    first feasible branch, built when read."""
 
     dim: int
     mu: int
-    trunc: int
     verdict: str
     reason: str | None
     detail: str | None
     fit: ThetaFit
     branches: list
-    theta: QSeries | None = None   # witness series of the first feasible branch
-    shadow: QSeries | None = None
 
     @property
     def feasible(self) -> bool:
         return self.verdict == FEASIBLE
+
+    def _witness(self) -> Branch | None:
+        feasible = [b for b in self.branches if b.verdict == FEASIBLE]
+        return feasible[0] if feasible and self.verdict == FEASIBLE else None
+
+    @property
+    def theta(self) -> QSeries | None:
+        w = self._witness()
+        return w and w.theta
+
+    @property
+    def shadow(self) -> QSeries | None:
+        w = self._witness()
+        return w and w.shadow
 
     def to_json_dict(self) -> dict:
         d = {
@@ -473,7 +486,7 @@ def _progression_in(a0: int, step: int, lo: int, hi: int) -> list[int]:
     return list(range(first, hi + 1, step))
 
 
-def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityReport:
+def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
     """Decide whether some odd unimodular theta/shadow pair in dimension n
     is compatible with minimal norm mu.
 
@@ -489,13 +502,12 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
     shallowest rule that kills it.  No series is built for the check: a
     branch builds its theta and shadow series only when they are read.
     """
-    if trunc is None:
-        trunc = default_trunc(n, mu)
-    fit = solve_prefix(n, mu, trunc)
+    fit = solve_prefix(n, mu)
+    trunc = fit.trunc
     if fit.prefix_residual:
         m, val = fit.prefix_residual[0]
         return FeasibilityReport(
-            n, mu, trunc, INFEASIBLE, R_PREFIX,
+            n, mu, INFEASIBLE, R_PREFIX,
             "forced fit leaves theta coefficient %s at q^%d" % (rat_str(val), m),
             fit, [])
 
@@ -631,22 +643,18 @@ def feasibility_scan(n: int, mu: int, trunc: int | None = None) -> FeasibilityRe
 
     if overflow:
         return FeasibilityReport(
-            n, mu, trunc, INCONCLUSIVE,
+            n, mu, INCONCLUSIVE,
             R_LIMIT if "limit" in overflow[0] else R_UNBOUNDED,
             overflow[0], fit, branches)
-    winners = [b for b in branches if b.verdict == FEASIBLE]
-    if winners:
-        w = winners[0]
-        return FeasibilityReport(
-            n, mu, trunc, FEASIBLE, None, None, fit, branches,
-            theta=w.theta, shadow=w.shadow)
+    if any(b.verdict == FEASIBLE for b in branches):
+        return FeasibilityReport(n, mu, FEASIBLE, None, None, fit, branches)
     if not branches:
         return FeasibilityReport(
-            n, mu, trunc, INFEASIBLE, R_COUNT,
+            n, mu, INFEASIBLE, R_COUNT,
             "no candidate assignment for the free coefficients", fit, [])
     deepest = max(branches, key=lambda b: _SEVERITY.get(b.reason, 0))
     return FeasibilityReport(
-        n, mu, trunc, INFEASIBLE, deepest.reason, deepest.detail, fit, branches)
+        n, mu, INFEASIBLE, deepest.reason, deepest.detail, fit, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +704,9 @@ def even_extremal_scan(n: int, trunc: int | None = None) -> EvenScan | None:
             continue
         coeffs += [Fraction(0)] * (m_count - len(coeffs))
         series = combine(coeffs, basis)
-        good = all(
-            c.denominator == 1 and c >= 0 and (e == 0 or c % 2 == 0)
-            for e, c in ((8 * i, series.coeff(8 * i)) for i in range(xmax + 1)))
+        # the kill rules of a scan branch, past the constant term
+        good = not any(fails(series.coeff(8 * i))
+                       for i in range(1, xmax + 1) for _, _, fails in _COEFF_RULES)
         if good and series.coeff(0) == 1:
             return EvenScan(n, mu, coeffs, series)
     raise AssertionError("no even theta fit found for n=%d" % n)

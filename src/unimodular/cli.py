@@ -82,7 +82,7 @@ def _write_lattice(L: Lattice, path: str) -> None:
 
 def _cmd_bound(args) -> int:
     if args.mu is not None:
-        report = bounds.feasibility_scan(args.dim, args.mu, trunc=args.trunc)
+        report = bounds.feasibility_scan(args.dim, args.mu)
         if args.json:
             _emit(report.to_json_dict())
             return 0
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("bound", help="certified upper bound or a single scan")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--mu", type=int, help="scan this minimal norm only")
-    q.add_argument("--trunc", type=int, help="series truncation in quarter units")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_bound)
 

@@ -156,10 +156,6 @@ def code_from_lines(lines, name="") -> BinaryCode:
     return BinaryCode(n, rows, name=name)
 
 
-def code_to_lines(code: BinaryCode) -> list[str]:
-    return ["".join(str((g >> i) & 1) for i in range(code.n)) for g in code.generators]
-
-
 BUILTIN_CODES = {
     "hamming8": hamming8,
     "golay24": golay24,

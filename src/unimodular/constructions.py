@@ -15,9 +15,10 @@ lattice is at hand:
     lattice along a norm-4 vector v yields a unimodular lattice one
     dimension lower, losing at most 1 from the minimal norm.
 
-Both builds run on integer matrices: the integer Gram of L, the HNF of
-integer rows, and the generators of L cleared to a common denominator.
-Fractions are made once, for the Gram matrix and generators of the result.
+Both builds run on integer matrices: the HNF of integer rows and the
+cleared integer forms that `Lattice` keeps (`int_gram`, `int_gens`).
+Fractions are made once, for the Gram matrix and generators of the result;
+the shave is a `sublattice` of L.
 """
 
 from __future__ import annotations
@@ -29,9 +30,16 @@ from functools import cached_property, reduce
 from math import prod
 from operator import mul, xor
 
-from .lattice import Lattice, _enum, enumerate_short, has_vector_below, min_norm
+from .lattice import (
+    Lattice,
+    class_minima,
+    enumerate_short,
+    has_vector_below,
+    min_norm,
+    sublattice,
+)
 from .linalg import (
-    clear_denominators,
+    gf2_inverse,
     hnf_rows,
     hnf_rows_frac,
     matmul,
@@ -43,6 +51,11 @@ from .linalg import (
 # fixture lattices
 
 
+def _a15_roots() -> list[list[int]]:
+    """The simple roots e_i - e_(i+1) of A15 in Z^16."""
+    return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(16)] for i in range(15)]
+
+
 def a15_plus_fixture() -> Lattice:
     """The 15-dimensional odd unimodular lattice A15+ (minimal norm 2).
 
@@ -50,15 +63,8 @@ def a15_plus_fixture() -> Lattice:
     order-4 glue class [4] = ((1/4)^12, (-3/4)^4) cuts the determinant
     from 16 to 1.
     """
-    rows = []
-    for i in range(15):
-        r = [Fraction(0)] * 16
-        r[i] = Fraction(1)
-        r[i + 1] = Fraction(-1)
-        rows.append(r)
     glue = [Fraction(1, 4)] * 12 + [Fraction(-3, 4)] * 4
-    rows.append(glue)
-    basis = hnf_rows_frac(rows)
+    basis = hnf_rows_frac(_a15_roots() + [glue])
     assert len(basis) == 15
     gram = matmul(basis, transpose(basis))
     return Lattice(gram, gens=basis, scale_sq=1, name="A15+")
@@ -69,17 +75,7 @@ def d16_plus_fixture() -> Lattice:
 
     D16 = {x in Z^16 : sum x even} plus the halfspin class (1/2)^16.
     """
-    rows = []
-    for i in range(15):
-        r = [Fraction(0)] * 16
-        r[i] = Fraction(1)
-        r[i + 1] = Fraction(-1)
-        rows.append(r)
-    r = [Fraction(0)] * 16
-    r[0] = r[1] = Fraction(1)
-    rows.append(r)
-    rows.append([Fraction(1, 2)] * 16)
-    basis = hnf_rows_frac(rows)
+    basis = hnf_rows_frac(_a15_roots() + [[1, 1] + [0] * 14, [Fraction(1, 2)] * 16])
     assert len(basis) == 16
     gram = matmul(basis, transpose(basis))
     return Lattice(gram, gens=basis, scale_sq=1, name="D16+")
@@ -90,12 +86,11 @@ def d16_plus_fixture() -> Lattice:
 
 
 def _int_gram(L: Lattice) -> list[list[int]]:
-    """The Gram matrix of L as ints (the one `Lattice` keeps cleared);
-    ValueError when some entry is not an integer."""
-    dg, g = L._cleared
-    if dg != 1:
+    """The Gram matrix of L as ints; ValueError when some entry is not an
+    integer."""
+    if not L.is_integral():
         raise ValueError("doubling and shaving need an integral lattice")
-    return g
+    return L.int_gram[1]
 
 
 class _Mod2Space:
@@ -159,7 +154,7 @@ class _Mod2Space:
         if any(not 0 <= e < 1 << self.m for e in sigma_e):
             return False
         try:
-            _gf2_inverse(sigma_e)
+            gf2_inverse(sigma_e)
         except ValueError:
             return False
         for i in range(self.m):
@@ -169,23 +164,6 @@ class _Mod2Space:
                 if self.b(sigma_e[i], sigma_e[j]) != self.b(1 << i, 1 << j):
                     return False
         return True
-
-
-def _gf2_inverse(images: list[int]) -> list[int]:
-    """Inverse of the GF(2)-linear map sending basis vector i to images[i],
-    in the same form; ValueError when the map is singular."""
-    m = len(images)
-    rows = [(img, 1 << i) for i, img in enumerate(images)]  # (sigma a, a)
-    for bit in range(m):
-        piv = next((r for r in range(bit, m) if rows[r][0] >> bit & 1), None)
-        if piv is None:
-            raise ValueError("map is singular mod 2")
-        rows[bit], rows[piv] = rows[piv], rows[bit]
-        pv, pa = rows[bit]
-        for r in range(m):
-            if r != bit and rows[r][0] >> bit & 1:
-                rows[r] = (rows[r][0] ^ pv, rows[r][1] ^ pa)
-    return [a for _, a in rows]
 
 
 def _images(images: list[int], classes: list[int]) -> list[int]:
@@ -211,12 +189,11 @@ def _coset_minima(L: Lattice, cutoff: int, cap: int) -> list[int]:
     accounted for separately by the doubled base lattice.
     """
     assert cap <= cutoff + 1
-    _int_gram(L)  # integral, so every scaled norm divides exactly
-    _, mins, scale, _ = _enum(L, cutoff, classes=True)
+    mins = class_minima(L, cutoff)  # walk first: the 2^m table is not live during it
     mt = [cap] * (1 << L.dim)
     for c, u in mins.items():
         if c:
-            mt[c] = min(cap, u // scale)
+            mt[c] = min(cap, u)
     return mt
 
 
@@ -234,7 +211,7 @@ def _bad_finder(mt: list[int], need: int):
 
     def bad(sigma_e: list[int]) -> list[int]:
         found = {c for c, y, r in zip(low, _images(sigma_e, low), room) if mt[y] < r}
-        found.update([c for c, r in zip(_images(_gf2_inverse(sigma_e), low), room)
+        found.update([c for c, r in zip(_images(gf2_inverse(sigma_e), low), room)
                       if mt[c] < r])
         return sorted(found)
 
@@ -341,8 +318,8 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     e_i) have norm (G_ii + |sigma e_i|^2)/2.
 
     Everything runs on ints: the HNF basis B = [B_l | B_r] of those rows,
-    the integer Gram G and the cleared generators Gi / dG of L.  The Gram
-    is (B_l G B_l^T + B_r G B_r^T) / 2 and the generators are
+    the integer Gram G and the cleared generators `L.int_gens` = (dG, Gi).
+    The Gram is (B_l G B_l^T + B_r G B_r^T) / 2 and the generators are
     [B_l Gi | B_r Gi] / dG; Fractions are made once, for the output.
     """
     images = list(glue.images if isinstance(glue, GlueMap) else glue)
@@ -379,8 +356,8 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
             for ra, rb in zip(matmul(matmul(left, g), transpose(left)),
                               matmul(matmul(right, g), transpose(right)))]
     gens = None
-    if L.gens is not None:
-        dG, Gi = clear_denominators(L.gens)
+    if L.int_gens is not None:
+        dG, Gi = L.int_gens
         gens = [[Fraction(x, dG) for x in a + b]  # a + b concatenates the halves
                 for a, b in zip(matmul(left, Gi), matmul(right, Gi))]
     return Lattice(gram, gens=gens, scale_sq=L.scale_sq / 2,
@@ -402,9 +379,8 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
 
     The kernel rows k of x.v mod 2 are scaled by 4 to the integer rows
     4k - (k.Gv) v, whose HNF H is 4 times the HNF of the projected rows
-    (row HNF commutes with positive scaling).  The Gram is H G H^T / 16
-    and the generators are H Gi / (4 dG), Gi / dG the cleared generators
-    of L.
+    (row HNF commutes with positive scaling); the result is the
+    `sublattice` H / 4 of L.
     """
     n = L.dim
     v = [int(x) for x in v]
@@ -422,14 +398,7 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
         rows.append([4 * x - dot * w for x, w in zip(krow, v)])
     basis4 = hnf_rows(rows)  # 4 times the basis of the result
     assert len(basis4) == n - 1
-    gram = [[Fraction(x, 16) for x in row]
-            for row in matmul(matmul(basis4, g), transpose(basis4))]
-    gens = None
-    if L.gens is not None:
-        dG, Gi = clear_denominators(L.gens)
-        gens = [[Fraction(x, 4 * dG) for x in row] for row in matmul(basis4, Gi)]
-    return Lattice(gram, gens=gens, scale_sq=L.scale_sq,
-                   name=name or "shave(%s)" % (L.name or "L"))
+    return sublattice(L, basis4, div=4, name=name or "shave(%s)" % (L.name or "L"))
 
 
 def find_shave_vector(L: Lattice, target) -> list[int] | None:

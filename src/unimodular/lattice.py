@@ -24,15 +24,16 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, xor
 
 from .linalg import (
     clear_denominators,
-    det_frac,
+    det_bareiss,
+    gf2_inverse,
     identity,
     integral_gso,
-    is_integer_matrix,
     lll_reduce_gram,
     mat_frac,
     mat_inverse,
@@ -45,7 +46,9 @@ from .qseries import QSeries, parse_rat, rat_str
 
 
 class Lattice:
-    """Exact lattice: Gram matrix, optional embedding, cached reduction data."""
+    """Exact lattice: Gram matrix, optional embedding, cached reduction data,
+    and the cleared integer forms that every reader of integrality, parity,
+    the determinant or an integer product uses."""
 
     def __init__(self, gram, gens=None, scale_sq=1, name=""):
         gram = mat_frac(gram)
@@ -54,19 +57,19 @@ class Lattice:
             raise ValueError("a lattice needs dimension at least 1")
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
-        # the checks run on the integer Gram gi = dg * gram, kept for
-        # _reduced_data
+        # the checks run on the integer Gram gi = dg * gram
         dg, gi = clear_denominators(gram)
         for i in range(n):
             for j in range(i + 1, n):
                 if gi[i][j] != gi[j][i]:
                     raise ValueError(f"gram matrix not symmetric at ({i},{j})")
         self.gram = gram
-        self._cleared = dg, gi
+        self._int_gram = dg, gi
         self.scale_sq = Fraction(scale_sq)
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
         self.gens = None
+        self._int_gens = None
         if gens is not None:
             gens = mat_frac(gens)
             if len(gens) != n:
@@ -84,9 +87,20 @@ class Lattice:
                             f"{self.scale_sq * Fraction(dot, dG * dG)} != {gram[i][j]}"
                         )
             self.gens = gens
+            self._int_gens = dG, Gi
         self.name = name
         self._det = None
         self._reduced = None
+
+    @property
+    def int_gram(self) -> tuple[int, list[list[int]]]:
+        """(dg, gi), gram = gi / dg with dg the lcm of its denominators."""
+        return self._int_gram
+
+    @property
+    def int_gens(self) -> tuple[int, list[list[int]]] | None:
+        """(dG, Gi), gens = Gi / dG likewise; None without generators."""
+        return self._int_gens
 
     @property
     def dim(self) -> int:
@@ -94,11 +108,12 @@ class Lattice:
 
     def det(self) -> Fraction:
         if self._det is None:
-            self._det = det_frac(self.gram)
+            dg, gi = self._int_gram
+            self._det = Fraction(det_bareiss(gi), dg ** self.dim)
         return self._det
 
     def is_integral(self) -> bool:
-        return is_integer_matrix(self.gram)
+        return self._int_gram[0] == 1
 
     def norm_of(self, coords) -> Fraction:
         """Norm (squared length) of the vector with the given basis coordinates."""
@@ -142,11 +157,10 @@ def zn(n: int) -> Lattice:
 
 def check_unimodular(L: Lattice) -> str:
     """Classify L: returns 'odd', 'even', or 'not-unimodular(detail)'."""
-    n = L.dim
-    for i in range(n):
-        for j in range(n):
-            if L.gram[i][j].denominator != 1:
-                return f"not-unimodular(non-integral entry {L.gram[i][j]} at ({i},{j}))"
+    dg, g = L.int_gram
+    if dg != 1:
+        i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x % dg)
+        return f"not-unimodular(non-integral entry {L.gram[i][j]} at ({i},{j}))"
     try:
         _reduced_data(L)
     except ValueError:
@@ -154,9 +168,28 @@ def check_unimodular(L: Lattice) -> str:
     d = L.det()
     if d != 1:
         return f"not-unimodular(det={d})"
-    if any(L.gram[i][i] % 2 == 1 for i in range(n)):
+    if any(g[i][i] & 1 for i in range(L.dim)):
         return "odd"
     return "even"
+
+
+def sublattice(L: Lattice, rows, div: int = 1, name: str = "") -> Lattice:
+    """The lattice with basis R / div under L's inner product, for
+    independent integer rows R in L's coordinates (so R / div need not lie
+    in L: the shave's basis is a projection).
+
+    With L's cleared forms gram = gi / dg and gens = Gi / dG, its Gram
+    matrix is R gi R^T / (dg div^2) and its generators R Gi / (dG div),
+    both computed in ints; Fractions are made once, for the result.
+    """
+    dg, g = L.int_gram
+    gram = [[Fraction(x, dg * div * div) for x in row]
+            for row in matmul(matmul(rows, g), transpose(rows))]
+    gens = None
+    if L.int_gens is not None:
+        dG, Gi = L.int_gens
+        gens = [[Fraction(x, dG * div) for x in row] for row in matmul(rows, Gi)]
+    return Lattice(gram, gens=gens, scale_sq=L.scale_sq, name=name)
 
 
 def even_sublattice(L: Lattice) -> Lattice:
@@ -166,16 +199,14 @@ def even_sublattice(L: Lattice) -> Lattice:
     """
     if not L.is_integral():
         raise ValueError("even sublattice requires an integral lattice")
-    E = _even_coords(L)
-    gram0 = matmul(matmul(E, L.gram), transpose(E))
-    gens0 = matmul(E, L.gens) if L.gens is not None else None
-    return Lattice(gram0, gens=gens0, scale_sq=L.scale_sq, name=f"{L.name}_0" if L.name else "")
+    return sublattice(L, _even_coords(L), name=f"{L.name}_0" if L.name else "")
 
 
 def _even_coords(L: Lattice):
-    """Basis (rows, in L-coordinates) of the even-norm kernel sublattice."""
-    parity = [int(L.gram[i][i]) % 2 for i in range(L.dim)]
-    return parity_kernel_basis(parity, L.dim)
+    """Basis (rows, in L-coordinates) of the even-norm kernel sublattice of
+    an integral lattice."""
+    _, g = L.int_gram
+    return parity_kernel_basis([g[i][i] & 1 for i in range(L.dim)], L.dim)
 
 
 def shadow_cosets(L: Lattice) -> tuple[Coset, Coset]:
@@ -189,45 +220,21 @@ def shadow_cosets(L: Lattice) -> tuple[Coset, Coset]:
     if verdict != "odd":
         raise ValueError(f"shadow requires an odd unimodular lattice, got {verdict}")
     n = L.dim
-    G = [[int(x) for x in row] for row in L.gram]
-    w = solve_mod2(G, [G[i][i] % 2 for i in range(n)])
+    _, g = L.int_gram
+    # w = G^-1 diag(G) mod 2, G symmetric: the xor of the columns of G^-1
+    # mod 2 (bit j of an image is coordinate j) at the odd diagonal entries
+    odd = [i for i in range(n) if g[i][i] & 1]
+    inv = gf2_inverse([sum((g[i][j] & 1) << j for j in range(n)) for i in range(n)])
+    w = reduce(xor, [inv[i] for i in odd])
+    half_w = [Fraction(w >> i & 1, 2) for i in range(n)]
     L0 = even_sublattice(L)
     Einv = mat_inverse(_even_coords(L))
-    half_w = [Fraction(x, 2) for x in w]
-    p = next(i for i in range(n) if L.gram[i][i] % 2 == 1)
-    x0 = [Fraction(1) if i == p else Fraction(0) for i in range(n)]
+    x0 = [Fraction(1) if i == odd[0] else Fraction(0) for i in range(n)]
     t1 = vecmat(half_w, Einv)
     t2 = vecmat([a + b for a, b in zip(half_w, x0)], Einv)
     c1, c2 = Coset(L0, t1), Coset(L0, t2)
     assert not c1.is_lattice() and not c2.is_lattice()
     return c1, c2
-
-
-def solve_mod2(A, b):
-    """Solve A x = b over GF(2); A square invertible mod 2."""
-    n = len(A)
-    rows = [(sum((A[i][j] & 1) << j for j in range(n)), b[i] & 1) for i in range(n)]
-    x = [0] * n
-    piv_of_col = {}
-    for r, (row, rhs) in enumerate(rows):
-        for col, (prow, prhs) in piv_of_col.items():
-            if row >> col & 1:
-                row ^= prow
-                rhs ^= prhs
-        if row == 0:
-            if rhs:
-                raise ValueError("inconsistent system mod 2")
-            continue
-        col = (row & -row).bit_length() - 1
-        piv_of_col[col] = (row, rhs)
-    for col in sorted(piv_of_col, reverse=True):
-        row, rhs = piv_of_col[col]
-        v = rhs
-        for j in range(col + 1, n):
-            if row >> j & 1:
-                v ^= x[j]
-        x[col] = v
-    return x
 
 
 # -- exact enumeration -------------------------------------------------------
@@ -246,7 +253,7 @@ def _reduced_data(L: Lattice):
     """
     if L._reduced is not None:
         return L._reduced
-    dmul, gint = L._cleared
+    dmul, gint = L.int_gram
     gred, U, Uinv = lll_reduce_gram(gint, Fraction(99, 100))
     d, lam = integral_gso(gred)
     pairs = [(d[i - 1] if i else 1) * d[i] for i in range(len(d))]
@@ -518,13 +525,6 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     return counts, (mins if classes else vecs), M * dmul * delta * delta, stats
 
 
-def _norms_from_scaled(counts: dict, scale: int) -> dict:
-    out: dict[Fraction, int] = {}
-    for u, cnt in counts.items():
-        out[Fraction(u, scale)] = cnt
-    return out
-
-
 def enumerate_short(target, max_norm, collect: bool = False):
     """Count vectors of each exact norm <= max_norm in a lattice or coset.
 
@@ -534,8 +534,24 @@ def enumerate_short(target, max_norm, collect: bool = False):
     x + offset), mirror pairs expanded.
     """
     counts, vecs, scale, _ = _enum(target, max_norm, collect=collect)
-    counts = _norms_from_scaled(counts, scale)
+    counts = {Fraction(u, scale): cnt for u, cnt in counts.items()}
     return (counts, vecs) if collect else counts
+
+
+def class_minima(L: Lattice, radius) -> dict:
+    """{class: least norm} over the vectors x of norm <= radius of an
+    integral lattice L (dimension at most 64), the class of x being x mod 2
+    with bit i the coordinate x_i; the zero class has norm 0.
+
+    One class walk of `_enum`; ValueError unless L is integral, so that
+    every norm is an int.
+    """
+    if not L.is_integral():
+        raise ValueError("class minima need an integral lattice")
+    _, mins, scale, _ = _enum(L, radius, classes=True)
+    for c, u in mins.items():  # in place: up to 2^dim classes
+        mins[c] = u // scale
+    return mins
 
 
 def find_any(target, max_norm):

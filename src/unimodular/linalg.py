@@ -3,8 +3,8 @@
 Matrices are lists of row lists.  Everything here is fraction-free or
 Fraction-exact: Bareiss determinants, integral Gram-Schmidt tables for
 enumeration, integral LLL reduction acting on Gram matrices (tracking the
-unimodular transform and its inverse), and row-style Hermite normal form
-over Z.
+unimodular transform and its inverse), row-style Hermite normal form
+over Z, and the inverse of a GF(2)-linear map on bitmasks.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ def matmul(a, b):
 
 def vecmat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
-
-
-def is_integer_matrix(m) -> bool:
-    return all(Fraction(x).denominator == 1 for row in m for x in row)
 
 
 def gauss_solve(a, b):
@@ -259,6 +255,24 @@ def hnf_rows_frac(rows):
         return []
     d, scaled = clear_denominators(rows)
     return [[Fraction(x, d) for x in r] for r in hnf_rows(scaled)]
+
+
+def gf2_inverse(images: list[int]) -> list[int]:
+    """Inverse of the GF(2)-linear map sending basis vector i to images[i]
+    (bit j of an image is its coordinate j), in the same form; ValueError
+    when the map is singular."""
+    m = len(images)
+    rows = [(img, 1 << i) for i, img in enumerate(images)]  # (sigma a, a)
+    for bit in range(m):
+        piv = next((r for r in range(bit, m) if rows[r][0] >> bit & 1), None)
+        if piv is None:
+            raise ValueError("map is singular mod 2")
+        rows[bit], rows[piv] = rows[piv], rows[bit]
+        pv, pa = rows[bit]
+        for r in range(m):
+            if r != bit and rows[r][0] >> bit & 1:
+                rows[r] = (rows[r][0] ^ pv, rows[r][1] ^ pa)
+    return [a for _, a in rows]
 
 
 def parity_kernel_basis(parity, n):

@@ -131,10 +131,6 @@ class QSeries:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(trunc: int) -> "QSeries":
-        return QSeries((), trunc)
-
-    @staticmethod
     def one(trunc: int) -> "QSeries":
         return QSeries({0: 1}, trunc)
 
@@ -153,9 +149,6 @@ class QSeries:
     def valuation(self) -> int:
         """Least stored exponent; equals trunc for the (known-)zero series."""
         return next(iter(self.terms), self.trunc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- ring operations --------------------------------------------------
 

@@ -189,6 +189,20 @@ def test_gram_obstruction_even_dimension_splits_shadow_cosets():
     assert seen <= set(g.tset)
 
 
+def test_gram_obstruction_formats_its_detail_on_read(monkeypatch):
+    calls = []
+    real = bounds.rat_str
+    monkeypatch.setattr(bounds, "rat_str", lambda x: calls.append(x) or real(x))
+    g = gram_obstruction(32, 2, 32, 4)
+    assert calls == [] and g.tset == (0,) and not g.contradiction
+    assert g.detail == "Gram matrix (s-b)I + bJ with b=0 is admissible (rank 32)"
+    assert calls == [0]
+    # the detail follows the fields it is formatted from
+    assert "55 vectors of norm 9/4" in gram_obstruction(33, Fraction(9, 4), 55, 4).detail
+    g.k = 1
+    assert g.detail == "fewer than two vectors, nothing to compare"
+
+
 def test_scan_zn_passes_at_norm_1():
     # Z^n exists, so no scan may eliminate minimal norm 1
     for n in range(1, 18):
@@ -362,6 +376,18 @@ def test_branch_series_built_on_read():
     assert b.theta is b.theta
 
 
+def test_witness_series_built_on_read(monkeypatch):
+    calls = []
+    real = bounds.combine
+    monkeypatch.setattr(bounds, "combine", lambda *a: calls.append(a) or real(*a))
+    assert mu_upper(33).odd_witness.feasible
+    assert calls == []
+    r = feasibility_scan(32, 4)
+    witness = next(b for b in r.branches if b.verdict == FEASIBLE)
+    assert r.theta is witness.theta and r.shadow is witness.shadow
+    assert feasibility_scan(33, 4).theta is None
+
+
 def test_scan_summary_line():
     assert feasibility_scan(33, 4).summary() == "n=33 mu=4: infeasible (rank obstruction)"
 
@@ -435,8 +461,8 @@ def test_mu_upper_steps_up_over_an_inconclusive_scan(monkeypatch):
     # scan, so fake one: (9, 3) cannot eliminate, and (9, 4) must
     real = bounds.feasibility_scan
 
-    def scan(n, mu, trunc=None):
-        r = real(n, mu, trunc)
+    def scan(n, mu):
+        r = real(n, mu)
         if (n, mu) == (9, 3):
             r.verdict = INCONCLUSIVE
         return r

@@ -218,6 +218,7 @@ def test_construct_reports_a_non_unimodular_result(tmp_path, capsys, argv, gram,
 @pytest.mark.parametrize("argv", [
     ["construct", "glue", "--base", "z2", "--images", "-1,2"],  # -1,2 reads as an option
     ["verify", "--lattice"],
+    ["bound", "--dim", "33", "--mu", "4", "--trunc", "17"],  # no such option
 ])
 def test_argparse_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

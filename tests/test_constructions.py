@@ -14,7 +14,6 @@ from unimodular.constructions import (
     GlueMap,
     _bad_finder,
     _coset_minima,
-    _gf2_inverse,
     _images,
     _Mod2Space,
     a15_plus_fixture,
@@ -36,7 +35,14 @@ from unimodular.lattice import (
     verify_min_norm,
     zn,
 )
-from unimodular.linalg import hnf_rows, hnf_rows_frac, matmul, parity_kernel_basis, transpose
+from unimodular.linalg import (
+    gf2_inverse,
+    hnf_rows,
+    hnf_rows_frac,
+    matmul,
+    parity_kernel_basis,
+    transpose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +143,14 @@ def test_gf2_inverse_round_trip():
                 i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
                 if i != j:
                     images[i] ^= images[j]
-            inv = _gf2_inverse(images)
+            inv = gf2_inverse(images)
             for i in range(m):
                 assert _apply(images, inv[i]) == 1 << i
                 assert _apply(inv, images[i]) == 1 << i
             classes = [rng.randrange(1 << m) for _ in range(50)]
             assert _images(images, classes) == [_apply(images, c) for c in classes]
     with pytest.raises(ValueError):
-        _gf2_inverse([1, 2, 3])
+        gf2_inverse([1, 2, 3])
 
 
 @pytest.mark.parametrize("build, tgt", [(a15_plus_fixture, 3), (a15_plus_fixture, 4),

@@ -14,6 +14,7 @@ from unimodular.lattice import (
     Coset,
     Lattice,
     check_unimodular,
+    class_minima,
     enumerate_short,
     even_sublattice,
     find_any,
@@ -23,6 +24,7 @@ from unimodular.lattice import (
     min_norm,
     shadow_by_enumeration,
     shadow_cosets,
+    sublattice,
     theta_by_enumeration,
     verify_min_norm,
     zn,
@@ -459,6 +461,15 @@ def test_class_walk_minima_match_collected_vectors():
         lattice._enum(Coset(zn(2), [Fraction(1, 2), 0]), 2, classes=True)
 
 
+def test_class_minima_are_the_class_walk_in_ints():
+    for L, R in ((zn(3), 3), (a15_plus_fixture(), 3), (e8_lattice(), 4)):
+        got = class_minima(L, R)
+        assert got == _class_minima_by_collect(L, R)
+        assert got[0] == 0 and all(type(u) is int for u in got.values())
+    with pytest.raises(ValueError, match="integral"):
+        class_minima(Lattice([[1, 0], [0, Fraction(1, 2)]]), 2)
+
+
 def test_class_walk_with_a_dropped_memo(monkeypatch):
     # a memo that fills up midway is dropped and the rest of the walk pushes
     # its classes down; counts and minima stay the same
@@ -527,6 +538,35 @@ def test_check_unimodular_rejections():
     assert check_unimodular(Lattice([[Fraction(1, 2)]])).startswith(
         "not-unimodular(non-integral"
     )
+
+
+def test_int_forms_are_kept_from_the_constructor():
+    gens = [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 3)]]
+    L = Lattice(matmul(gens, transpose(gens)), gens=gens)
+    dg, gi = L.int_gram
+    assert dg == 36 and gi == [[13, 4], [4, 4]]
+    assert L.int_gens == (6, [[3, 2], [0, 2]])
+    assert L.det() == Fraction(13 * 4 - 4 * 4, 36 ** 2) and not L.is_integral()
+    assert zn(2).int_gram == (1, identity(2)) and zn(2).is_integral()
+    assert Lattice([[2]]).int_gens is None
+
+
+def test_sublattice_matches_the_rational_products():
+    gens = [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 3)]]
+    gram = [[3 * x for x in row] for row in matmul(gens, transpose(gens))]
+    L = Lattice(gram, gens=gens, scale_sq=3, name="L")
+    rows = [[2, 1], [0, 3]]
+    for div in (1, 2, 3):
+        S = sublattice(L, rows, div=div, name="S")
+        r = [[Fraction(x, div) for x in row] for row in rows]
+        assert S.gram == matmul(matmul(r, L.gram), transpose(r))
+        assert S.gens == matmul(r, L.gens)
+        assert S.scale_sq == 3 and S.name == "S"
+    assert sublattice(Lattice([[2, 1], [1, 2]]), [[1, 1]]).gram == [[6]]
+    # even_sublattice is the sublattice on the even coordinates
+    E = even_sublattice(zn(3))
+    assert E.gram == sublattice(zn(3), lattice._even_coords(zn(3))).gram
+    assert E.name == "Z3_0"
 
 
 def test_even_sublattice_index_two():

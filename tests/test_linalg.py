@@ -13,7 +13,6 @@ from unimodular.linalg import (
     hnf_rows_frac,
     identity,
     integral_gso,
-    is_integer_matrix,
     lll_reduce_gram,
     mat_inverse,
     matmul,
@@ -457,8 +456,3 @@ def test_parity_kernel_basis_index():
         assert d == (2 if any(parity) else 1)
         for row in basis:
             assert sum(p * x for p, x in zip(parity, row)) % 2 == 0
-
-
-def test_is_integer_matrix():
-    assert is_integer_matrix([[1, Fraction(4, 2)], [0, -3]])
-    assert not is_integer_matrix([[Fraction(1, 2)]])
