@@ -47,6 +47,7 @@ from .qseries import (
     cusp_delta24,
     delta8,
     eisenstein_e4,
+    power_chain,
     rat_str,
     theta2,
     theta3,
@@ -86,15 +87,6 @@ MAX_CANDIDATES = 4096
 # basis series
 
 
-def _chain(base: QSeries, first: QSeries, count: int, trunc: int) -> list[QSeries]:
-    """[first, first*base, first*base^2, ...], count series, each truncated
-    at `trunc`: the powers one basis call needs, one product apart."""
-    out = [first.truncate(trunc)]
-    for _ in range(count - 1):
-        out.append((out[-1] * base).truncate(trunc))
-    return out
-
-
 @lru_cache(maxsize=None)
 def theta_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Basis delta8^j * theta3^(n-8j), j = 0..[n/8], truncated at `trunc`."""
@@ -104,8 +96,8 @@ def theta_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     one = QSeries.one(trunc)
     t3 = theta3(trunc)
     # theta3^(n-8j) for j = jmax down to 0, then delta8^j for j = 0 up
-    t3pow = _chain(t3 ** 8, t3 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
-    d8pow = _chain(delta8(trunc), one, jmax + 1, trunc) if jmax else [one]
+    t3pow = power_chain(t3 ** 8, t3 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
+    d8pow = power_chain(delta8(trunc), one, jmax + 1, trunc) if jmax else [one]
     return tuple((t * d).truncate(trunc) for t, d in zip(t3pow, d8pow))
 
 
@@ -118,8 +110,8 @@ def shadow_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     t2 = theta2(trunc)
     t4q2 = theta4(trunc).subs_q2().truncate(trunc)
     # theta2^(n-8j) for j = jmax down to 0, then theta4(q^2)^(8j) for j = 0 up
-    t2pow = _chain(t2 ** 8, t2 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
-    t4pow = _chain(t4q2 ** 8, QSeries.one(trunc), jmax + 1, trunc)
+    t2pow = power_chain(t2 ** 8, t2 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
+    t4pow = power_chain(t4q2 ** 8, QSeries.one(trunc), jmax + 1, trunc)
     return tuple((t * w * Fraction((-1) ** j, 16 ** j)).truncate(trunc)
                  for j, (t, w) in enumerate(zip(t2pow, t4pow)))
 
@@ -501,6 +493,13 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
     carries, one rule at a time in severity order, so a branch reports the
     shallowest rule that kills it.  No series is built for the check: a
     branch builds its theta and shadow series only when they are read.
+
+    A free coefficient that is neither capped nor resolved last has no
+    bound, and the scan is inconclusive.  This is why (n, 1) is
+    inconclusive for 18 <= n <= 48 although Z^n exists: with mu = 1 only a
+    shadow norm below 1/2 is capped, so some a_j other than the last is
+    uncapped.  `mu_upper` never scans mu = 1 there, because (n, 2) is
+    infeasible only for n <= 13, n != 12.
     """
     fit = solve_prefix(n, mu)
     trunc = fit.trunc
@@ -572,7 +571,7 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
                 return kill(R_RANK, br.obstruction.detail)
         return br
 
-    overflow: list[str] = []
+    overflow: list[tuple[str, str]] = []  # (reason, detail)
 
     def resolve(idx: int, assignment: dict, fixed: list[int]):
         # idx counts down through `free`; free[idx] is the next coefficient
@@ -609,17 +608,14 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
                                 if t != 0 and k != k_j]
         lo, hi = _affine_bounds(constraints)
         if lo is None or hi is None:
-            overflow.append(
-                "coefficient a_%d is not bounded by the checked window" % j)
+            overflow.append((R_UNBOUNDED,
+                             "coefficient a_%d is not bounded by the checked window" % j))
             return
         cands = _progression_in(a0, stride, lo, hi)
         if not cands:
-            # distinguish a cap kill from conflicting nonnegativity
-            lo2, hi2 = _affine_bounds([(s, t, None) for s, t, _ in constraints])
-            empty_nocap = (
-                hi2 is not None and lo2 is not None
-                and not _progression_in(a0, stride, lo2, hi2))
-            reason = R_NEG if (empty_nocap or hi2 is None or lo2 is None) else R_COUNT
+            # a capped strip has its one capped constraint; an uncapped one
+            # only nonnegativity constraints
+            reason = R_COUNT if own_cap is not None else R_NEG
             branches.append(Branch(
                 dict(assignment), INFEASIBLE, reason,
                 "no admissible value for a_%d: every choice violates the %s"
@@ -627,9 +623,8 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
                    if reason == R_NEG else "shadow count cap below mu/2")))
             return
         if len(cands) > MAX_CANDIDATES:
-            overflow.append(
-                "coefficient a_%d admits %d candidates (limit %d)"
-                % (j, len(cands), MAX_CANDIDATES))
+            overflow.append((R_LIMIT, "coefficient a_%d admits %d candidates (limit %d)"
+                             % (j, len(cands), MAX_CANDIDATES)))
             return
         for a in cands:
             assignment[j] = a
@@ -642,10 +637,8 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
     del resolve
 
     if overflow:
-        return FeasibilityReport(
-            n, mu, INCONCLUSIVE,
-            R_LIMIT if "limit" in overflow[0] else R_UNBOUNDED,
-            overflow[0], fit, branches)
+        reason, detail = overflow[0]
+        return FeasibilityReport(n, mu, INCONCLUSIVE, reason, detail, fit, branches)
     if any(b.verdict == FEASIBLE for b in branches):
         return FeasibilityReport(n, mu, FEASIBLE, None, None, fit, branches)
     if not branches:
@@ -679,7 +672,7 @@ class EvenScan:
         }
 
 
-def even_extremal_scan(n: int, trunc: int | None = None) -> EvenScan | None:
+def even_extremal_scan(n: int) -> EvenScan | None:
     """Even unimodular lattices exist only for 8 | n; their theta series is
     a weight-n/2 polynomial in E4 and Delta24, so the minimal norm is at
     most 2[n/24] + 2.  Returns the largest feasible even minimal norm with
@@ -688,8 +681,7 @@ def even_extremal_scan(n: int, trunc: int | None = None) -> EvenScan | None:
     if n % 8 != 0 or n < 8:
         return None
     m_count = n // 24 + 1
-    if trunc is None:
-        trunc = 8 * (n // 24 + 6) + 1
+    trunc = 8 * (n // 24 + 6) + 1
     e4 = eisenstein_e4(trunc)
     d24 = cusp_delta24(trunc)
     basis = []

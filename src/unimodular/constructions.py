@@ -232,16 +232,28 @@ class GlueMap:
         return {"dim": self.dim, "target": self.target, "images": list(self.images)}
 
 
-def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
-              max_steps: int = 6000, restarts: int = 6) -> GlueMap | None:
+#: the glue search's walk: restarts, and steps per restart
+GLUE_RESTARTS = 6
+GLUE_MAX_STEPS = 6000
+#: the largest base dimension m the glue search takes; its tables have 2^m
+#: entries (one byte and one int each)
+GLUE_MAX_DIM = 20
+
+
+def find_glue(L: Lattice, target: int | None = None, seed: int = 0) -> GlueMap | None:
     """Search O(L/2L, B, q) for a doubling map reaching the given minimal
     norm (descending from 2*min(L) when no target is given).
 
     Random transvection walk with targeted repairs: a class u still paired
     too low is sent onto a partner y with m1(u) + m1(y) large by composing
     with t_v, v = sigma(u) xor y, whenever that v is an admissible
-    transvection.  Returns None if every restart stalls.
+    transvection.  Returns None if every restart stalls.  A base of
+    dimension above GLUE_MAX_DIM is a ValueError, raised before any 2^m
+    table is built.
     """
+    if L.dim > GLUE_MAX_DIM:
+        raise ValueError("glue search takes a base of dimension at most %d, not %d"
+                         % (GLUE_MAX_DIM, L.dim))
     space = _Mod2Space(L)
     m, q = space.m, space.q
     mu = int(min_norm(L))
@@ -259,7 +271,7 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
         need = 2 * tgt
         bad_classes = _bad_finder(mt, need)
         partner_lists = {}
-        for _ in range(restarts):
+        for _ in range(GLUE_RESTARTS):
             sigma_e = [1 << i for i in range(m)]
             for _ in range(2 * m):  # random start inside the group
                 v = rng.randrange(1, 1 << m)
@@ -267,7 +279,7 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0,
                     space.apply_transvection(sigma_e, v)
             stall = 0
             best = None
-            for _ in range(max_steps):
+            for _ in range(GLUE_MAX_STEPS):
                 bad = bad_classes(sigma_e)
                 score = len(bad)
                 if score == 0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import gauss_solve
-from .qseries import QSeries, combine, g2, h2, rat_str, theta3
+from .qseries import QSeries, combine, g2, h2, power_chain, rat_str, theta3
 
 
 @dataclass
@@ -54,7 +54,7 @@ class AverageTheta:
         }
 
 
-def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> AverageTheta:
+def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
     """Determine the c_j and the exact average theta series for dimension n.
 
     Unknowns c_0..c_m (m = [n/4]) against the m+2 equations alpha_0 = 0,
@@ -67,19 +67,11 @@ def solve_cj(n: int, trunc: int | None = None, verify_extra: int = 1) -> Average
     if n <= 4:
         raise ValueError("the average theta formula needs dimension > 4")
     m = n // 4
-    if trunc is None:
-        trunc = 16 * (m + verify_extra) + 1  # alpha_(4i) up to i = m + verify_extra
-    if trunc <= 16 * (m + verify_extra):
-        raise ValueError("truncation %d/4 does not reach the relation at q^%d"
-                         % (trunc, 4 * (m + verify_extra)))
+    trunc = 16 * (m + verify_extra) + 1  # alpha_(4i) up to i = m + verify_extra
     t3n = theta3(trunc) ** n
-    g = g2(trunc)
-    h = h2(trunc)
-    gpow = [QSeries.one(trunc)]
-    hpow = [QSeries.one(trunc)]
-    for _ in range(m):
-        gpow.append((gpow[-1] * g).truncate(trunc))
-        hpow.append((hpow[-1] * h).truncate(trunc))
+    one = QSeries.one(trunc)
+    gpow = power_chain(g2(trunc), one, m + 1, trunc)
+    hpow = power_chain(h2(trunc), one, m + 1, trunc)
     basis = [(t3n * gp).truncate(trunc) for gp in gpow]
 
     # the basis is integral and known past q^(4(m + verify_extra)), so the
@@ -148,8 +140,9 @@ def mass_count_bound(avg: AverageTheta, mass=None) -> CountBound:
     (A_1 + A_2) * M = 2 M_2 + 4 M_4 + ... >= 2 (M - M_0), where M_(2k) is
     the mass of classes with exactly 2k such vectors.  Hence
     M_0 >= M (1 - (A_1 + A_2)/2), and |Aut| >= 2 turns mass into a count:
-    #classes >= 2 M_0.  A given mass is taken as exact; the default
-    (DEFAULT_MASS_33, dimension 33 only) is marked approximate.
+    #classes >= 2 M_0.  A given mass is taken as exact and must be
+    positive; the default (DEFAULT_MASS_33, dimension 33 only) is marked
+    approximate.
     """
     mass_is_approximate = mass is None
     if mass is None:
@@ -157,6 +150,8 @@ def mass_count_bound(avg: AverageTheta, mass=None) -> CountBound:
             raise ValueError("no default mass known for dimension %d" % avg.dim)
         mass = DEFAULT_MASS_33
     mass = Fraction(mass)
+    if mass <= 0:
+        raise ValueError("genus mass must be positive, not %s" % rat_str(mass))
     a1 = avg.coeff_norm(1)
     a2 = avg.coeff_norm(2)
     m0 = mass * (1 - (a1 + a2) / 2)

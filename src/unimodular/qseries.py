@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import index
 
 from .linalg import clear_denominators
@@ -320,66 +320,39 @@ def combine(coeffs, basis) -> QSeries:
     return QSeries._make(_over(enumerate(acc), den), t)
 
 
+def power_chain(base: QSeries, first: QSeries, count: int, trunc: int) -> list[QSeries]:
+    """[first, first*base, first*base^2, ...], count series, each truncated
+    at `trunc`: the successive powers a basis needs, one product apart."""
+    out = [first.truncate(trunc)]
+    for _ in range(count - 1):
+        out.append((out[-1] * base).truncate(trunc))
+    return out
+
+
 # -- classical series --------------------------------------------------------
 #
 # All constructors take the truncation in quarters and build integer
-# coefficients.  Products over m stop as soon as the factor's leading
-# exponent leaves the window, at which point the factor is 1 to this
-# precision.  The polynomial helpers work on {integer exponent: int} dicts
-# in ascending exponent order.
+# coefficients.  Every product formula is a `QSeries` product of binomial
+# factors; a leading q or x is a product with a monomial, whose valuation
+# raises the truncation of the product below it by its own exponent.
 
 
-def _int_grid(poly: dict[int, int], trunc: int) -> QSeries:
-    """Lift a dict {integer exponent: coeff} onto the quarter grid."""
-    return QSeries({4 * k: c for k, c in poly.items()}, trunc)
+def _binomial(k: int, sign: int, power: int, trunc: int) -> QSeries:
+    """(1 + sign*q^(k/4))^power through `trunc`, for any integer power.
+
+    The generalized binomial C(power, i) is an integer for negative powers
+    too, so a negative power gives the factor's integral inverse."""
+    terms, c, i = {}, 1, 0
+    while c and i * k < trunc:
+        terms[i * k] = c
+        c = sign * c * (power - i) // (i + 1)
+        i += 1
+    return QSeries._make(terms, trunc)
 
 
-def _poly_mul(a: dict, b: dict, kmax: int) -> dict:
-    out = [0] * (kmax + 1)
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e > kmax:
-                break
-            out[e] += c1 * c2
-    return {e: c for e, c in enumerate(out) if c}
-
-
-def _poly_binom_factor(k: int, power: int, sign: int, kmax: int) -> dict:
-    """(1 + sign*x^k)^power as an integer-exponent dict, degree <= kmax."""
-    out = {0: 1}
-    binom = 1
-    for i in range(1, power + 1):
-        binom = binom * (power - i + 1) // i
-        if i * k > kmax:
-            break
-        out[i * k] = binom * sign ** i
-    return out
-
-
-def _poly_product(factors, kmax: int) -> dict:
-    out = {0: 1}
-    for f in factors:
-        out = _poly_mul(out, f, kmax)
-    return out
-
-
-def _poly_inverse(a: dict, kmax: int) -> dict:
-    """1/a to degree kmax; a has constant term 1, so the inverse is integral."""
-    assert a.get(0) == 1
-    inv = {0: 1}
-    tail = [(e, c) for e, c in a.items() if e > 0]
-    for e in range(1, kmax + 1):
-        s = 0
-        for i, c in tail:
-            if i > e:
-                break
-            b = inv.get(e - i)
-            if b is not None:
-                s -= c * b
-        if s:
-            inv[e] = s
-    return inv
+def _product(factors, trunc: int) -> QSeries:
+    """The product of the factors, each truncated at `trunc`."""
+    return prod(factors, start=QSeries.one(trunc))
 
 
 @lru_cache(maxsize=None)
@@ -423,35 +396,22 @@ def delta8(trunc: int) -> QSeries:
     """
     if trunc < 8:
         raise ValueError("truncation too small for delta8")
-    kmax = (trunc - 1) // 4 - 1
-    factors = []
-    m = 1
-    while 2 * m - 1 <= kmax:
-        factors.append(_poly_binom_factor(2 * m - 1, 8, -1, kmax))
-        m += 1
-    m = 1
-    while 4 * m <= kmax:
-        factors.append(_poly_binom_factor(4 * m, 8, -1, kmax))
-        m += 1
-    prod = _poly_product(factors, kmax)
-    return _int_grid({k + 1: c for k, c in prod.items()}, trunc)
+    t = trunc - 4  # the leading q lifts the product's truncation to trunc
+    exps = [*range(4, t, 8), *range(16, t, 16)]  # q^(2m-1) and q^(4m)
+    return QSeries({4: 1}, trunc) * _product((_binomial(e, -1, 8, t) for e in exps), t)
 
 
 @lru_cache(maxsize=None)
 def _g2_h2(trunc: int) -> tuple[QSeries, QSeries]:
     if trunc < 8:
         raise ValueError("truncation too small")
-    kmax = (trunc - 1) // 4
-    odd = range(1, kmax + 1, 2)
-    even = range(2, kmax + 1, 2)
-    plus_odd = _poly_product((_poly_binom_factor(k, 8, +1, kmax) for k in odd), kmax)
-    inv_plus_odd = _poly_inverse(plus_odd, kmax)
-    plus_even = _poly_product((_poly_binom_factor(k, 8, +1, kmax - 1) for k in even), kmax - 1)
-    minus_odd = _poly_product((_poly_binom_factor(k, 8, -1, kmax) for k in odd), kmax)
-    g = _poly_mul(plus_even, {k: c for k, c in inv_plus_odd.items() if k <= kmax - 1}, kmax - 1)
-    g = {k + 1: 16 * c for k, c in g.items()}
-    h = _poly_mul(minus_odd, inv_plus_odd, kmax)
-    return _int_grid(g, trunc), _int_grid(h, trunc)
+    odd = range(4, trunc, 8)  # q^(2m-1), in quarters
+    inv_plus_odd = _product((_binomial(e, 1, -8, trunc) for e in odd), trunc)
+    h = inv_plus_odd * _product((_binomial(e, -1, 8, trunc) for e in odd), trunc)
+    t = trunc - 4
+    g = inv_plus_odd.truncate(t) * _product(
+        (_binomial(e, 1, 8, t) for e in range(8, t, 8)), t)
+    return QSeries({4: 16}, trunc) * g, h
 
 
 def g2(trunc: int) -> QSeries:
@@ -488,9 +448,6 @@ def cusp_delta24(trunc: int) -> QSeries:
     """The weight-12 cusp form in the nome x = q^2: x prod (1-x^m)^24."""
     if trunc < 9:
         raise ValueError("truncation too small for cusp_delta24")
-    mmax = (trunc - 1) // 8
-    kmax = mmax - 1
-    prod = _poly_product(
-        (_poly_binom_factor(m, 24, -1, kmax) for m in range(1, kmax + 1)), kmax
-    )
-    return QSeries({8 * (k + 1): c for k, c in prod.items()}, trunc)
+    t = trunc - 8  # the leading x lifts the product's truncation to trunc
+    return QSeries({8: 1}, trunc) * _product(
+        (_binomial(e, -1, 24, t) for e in range(8, t, 8)), t)

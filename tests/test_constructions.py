@@ -118,7 +118,12 @@ def test_glue_map_json():
 def test_find_glue_fails_on_impossible_target():
     # minimal norm 4 in dimension 30 is impossible, so no map can exist
     A = a15_plus_fixture()
-    assert find_glue(A, 4, seed=1, max_steps=1200, restarts=2) is None
+    assert find_glue(A, 4, seed=1) is None
+
+
+def test_find_glue_rejects_a_base_too_large_for_its_tables():
+    with pytest.raises(ValueError, match="at most 20"):
+        find_glue(zn(21))
 
 
 def test_find_glue_reproduces_frozen_map():

@@ -107,6 +107,15 @@ def test_cusp_delta24_matches_eta_power():
     assert d.coeff(8) == 1 and d.coeff(16) == -24 and d.coeff(24) == 252
 
 
+@pytest.mark.parametrize("series, lowest", [
+    (delta8, 8), (g2, 8), (h2, 8), (cusp_delta24, 9)])
+def test_product_series_agree_across_truncations(series, lowest):
+    # each factor, inverse and leading monomial is cut at its own window
+    full = series(400)
+    for t in range(lowest, 101):
+        assert series(t) == full.truncate(t)
+
+
 # ---------------------------------------------------------------------------
 # classical identities (these pin down g2 and h2 uniquely)
 
