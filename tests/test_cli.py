@@ -186,13 +186,13 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["verify", "--lattice", "z1", "--min", "1/0"], None, 2),
     (["verify", "--lattice", "{file}"], [["1/0"]], 2),
     (["genus-bound", "--dim", "33", "--mass", "1/0"], None, 2),
-    (["genus-bound", "--dim", "33", "--mass", "-5"], None, 2),
-    (["genus-bound", "--dim", "33", "--mass", "0"], None, 2),
     (["construct", "glue", "--base", "z2", "--images", "9,2"], None, 2),
     (["construct", "glue", "--base", "z2", "--images=-1,2"], None, 2),
     # x.v is not an integer on a non-integral lattice
     (["construct", "shave", "--lattice", "{file}", "--vector", "1,0"],
      [[4, "1/2"], ["1/2", 1]], 2),
+    (["genus-bound", "--dim", "33", "--mass", "-5"], None, 2),
+    (["genus-bound", "--dim", "33", "--mass", "0"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
