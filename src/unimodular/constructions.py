@@ -42,6 +42,7 @@ from .linalg import (
     gf2_inverse,
     hnf_rows,
     hnf_rows_frac,
+    int_matmul,
     matmul,
     parity_kernel_basis,
     transpose,
@@ -365,13 +366,13 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     right = [row[m:] for row in basis]
     g = space.g
     gram = [[Fraction(a + b, 2) for a, b in zip(ra, rb)]
-            for ra, rb in zip(matmul(matmul(left, g), transpose(left)),
-                              matmul(matmul(right, g), transpose(right)))]
+            for ra, rb in zip(int_matmul(int_matmul(left, g), transpose(left)),
+                              int_matmul(int_matmul(right, g), transpose(right)))]
     gens = None
     if L.int_gens is not None:
         dG, Gi = L.int_gens
         gens = [[Fraction(x, dG) for x in a + b]  # a + b concatenates the halves
-                for a, b in zip(matmul(left, Gi), matmul(right, Gi))]
+                for a, b in zip(int_matmul(left, Gi), int_matmul(right, Gi))]
     return Lattice(gram, gens=gens, scale_sq=L.scale_sq / 2,
                    name=name or "double(%s)" % (L.name or "L"))
 

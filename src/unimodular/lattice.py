@@ -8,11 +8,15 @@ written in coordinates of the base lattice's basis.
 Short-vector enumeration is exact Fincke-Pohst: the Gram matrix is LLL
 reduced (delta = 99/100), fraction-free Gram-Schmidt data turns the usual recursion into
 scaled big-integer arithmetic (isqrt bounds, no floating point), and coset
-offsets are handled by congruence-stepping the integer coordinates.  When a
-coset is fixed by negation, only canonical representatives are walked and
-counts are doubled.  A walk that does not collect stores the norm
-histogram of each subtree under an exact key and reuses it when the
-subtree repeats.  A lattice walk stops at the last norm the lattice's norm
+offsets are handled by congruence-stepping the integer coordinates.  A
+node holds the centres of its level and the levels below as one packed
+int, one fixed-width slot per level with the width derived per walk from
+a bound on every centre, so a child's centres are one big-int
+multiply-add.  When a coset is fixed by negation, only canonical
+representatives are walked and counts are doubled.  A walk that does not
+collect stores the norm histogram of each subtree under an exact key, the
+packed centres reduced in one big-int step per level, and reuses it when
+the subtree repeats.  A lattice walk stops at the last norm the lattice's norm
 grid allows at or below its radius, and a class walk keeps the least norm
 of each class of L/2L: it stores each subtree's class map next to its
 histogram, relative to the parity mask by which reducing the subtree to
@@ -33,11 +37,11 @@ from .linalg import (
     det_bareiss,
     gf2_inverse,
     identity,
+    int_matmul,
     integral_gso,
     lll_reduce_gram,
     mat_frac,
     mat_inverse,
-    matmul,
     parity_kernel_basis,
     transpose,
     vecmat,
@@ -116,9 +120,12 @@ class Lattice:
         return self._int_gram[0] == 1
 
     def norm_of(self, coords) -> Fraction:
-        """Norm (squared length) of the vector with the given basis coordinates."""
-        v = [Fraction(c) for c in coords]
-        return sum(v[i] * self.gram[i][j] * v[j] for i in range(self.dim) for j in range(self.dim))
+        """Norm (squared length) of the vector with the given basis
+        coordinates, v gi v^T / (dg dv^2) for v = dv * coords in ints."""
+        dv, (v,) = clear_denominators([list(coords)])
+        dg, g = self._int_gram
+        return Fraction(sum(a * sum(map(mul, row, v)) for a, row in zip(v, g) if a),
+                        dg * dv * dv)
 
     def __repr__(self):
         tag = self.name or "lattice"
@@ -138,10 +145,7 @@ class Coset:
         return all(x.denominator == 1 for x in self.offset)
 
     def norm_of(self, coords) -> Fraction:
-        v = [Fraction(c) + t for c, t in zip(coords, self.offset)]
-        g = self.base.gram
-        n = self.base.dim
-        return sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        return self.base.norm_of([c + t for c, t in zip(coords, self.offset)])
 
     def __repr__(self):
         return f"<coset of {self.base!r} + {[str(x) for x in self.offset]}>"
@@ -184,11 +188,11 @@ def sublattice(L: Lattice, rows, div: int = 1, name: str = "") -> Lattice:
     """
     dg, g = L.int_gram
     gram = [[Fraction(x, dg * div * div) for x in row]
-            for row in matmul(matmul(rows, g), transpose(rows))]
+            for row in int_matmul(int_matmul(rows, g), transpose(rows))]
     gens = None
     if L.int_gens is not None:
         dG, Gi = L.int_gens
-        gens = [[Fraction(x, dG * div) for x in row] for row in matmul(rows, Gi)]
+        gens = [[Fraction(x, dG * div) for x in row] for row in int_matmul(rows, Gi)]
     return Lattice(gram, gens=gens, scale_sq=L.scale_sq, name=name)
 
 
@@ -298,14 +302,23 @@ MEMO_LIMIT = 1024
 @dataclass
 class EnumStats:
     """Work of one enumeration: nodes walked per level (empty ones are
-    skipped), and the subtree memo of a count or class walk: lookups, hits,
-    stored subtrees, and whether it was dropped at MEMO_LIMIT."""
+    skipped), and the subtree memo of a count or class walk: lookups and
+    hits per level of the subtree's root, stored subtrees, and whether the
+    memo was dropped at MEMO_LIMIT.  `lookups` and `hits` are the totals."""
 
     nodes: list
-    lookups: int = 0
-    hits: int = 0
+    level_lookups: list
+    level_hits: list
     stored: int = 0
     memo_off: bool = False
+
+    @property
+    def lookups(self) -> int:
+        return sum(self.level_lookups)
+
+    @property
+    def hits(self) -> int:
+        return sum(self.level_hits)
 
 
 def _pack_classes(mins: dict) -> list:
@@ -315,6 +328,29 @@ def _pack_classes(mins: dict) -> list:
     for c, u in mins.items():
         by_norm.setdefault(u, []).append(c)
     return [(u, array("Q", cs)) for u, cs in by_norm.items()]
+
+
+def _slot_bits(d, lam, m, top, delta) -> int:
+    """Width W of one packed centre slot for a walk with budget top.
+
+    Top-down, |w_l| <= Wb_l = (A_l + C_l) // d_l with A_l = isqrt(top // m_l)
+    and C_l = sum_{k > l} |lam[k][l]| Wb_k, which also bounds every partial
+    sum of c_l.  The key reduction subtracts k_i delta lam[i][l] from c_l
+    for each level i > l it reduces, so c_l stays within R_l = C_l +
+    delta sum_{k > l} |lam[k][l]| K_k, with |k_l| <= K_l = R_l // (d_l
+    delta) + 1, and a reduced c_l lies in [0, d_l delta).  With B the
+    largest R_l and d_l delta, W = bitlength(B) + 1 and a slot holding
+    c + 2^(W-1) lies in [0, 2^W): no slot borrows from its neighbour.
+    """
+    n = len(d)
+    wb, rb, kb = [0] * n, [0] * n, [0] * n
+    for l in range(n - 1, -1, -1):
+        col = [abs(lam[k][l]) for k in range(l + 1, n)]
+        c = sum(map(mul, col, wb[l + 1:]))
+        wb[l] = (isqrt(top // m[l]) + c) // d[l]
+        rb[l] = c + delta * sum(map(mul, col, kb[l + 1:]))
+        kb[l] = rb[l] // (d[l] * delta) + 1
+    return max(*rb, *[dl * delta for dl in d]).bit_length() + 1
 
 
 def _enum(target, max_norm, collect=False, first_only=False, classes=False):
@@ -337,23 +373,35 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
 
     In reduced coordinates w = delta * (x + t), so w_i = s_i (mod delta),
     and level i contributes m_i * (d_i w_i + c_i)^2 with the centre
-    c_i = sum_{l > i} lam[l][i] w_l.  A walk that does not collect memoises
-    subtrees: below a node at level j, the histogram {norm of levels
-    <= j: count} depends only on c_0..c_j and the remaining budget, and
-    shifting w_j by delta * k is a bijection of the subtree that keeps every
-    partial norm while adding d_j delta k to c_j and lam[j][l] delta k to
-    each lower c_l.  Reducing c_j modulo d_j delta from the top level down
-    to level 0, correcting the lower centres as it goes, therefore names the
-    subtree exactly, and a repeated subtree adds its stored histogram
-    shifted by the norm above it.  In a class walk (delta = 1) the
-    reduction shifts x_red[i] by its quotient k_i, which flips the class of
-    every vector of the subtree by the parity mask, the xor of the masks of
-    U[i] over the odd k_i.  A class walk stores each subtree's class map
-    {class of levels <= j xor mask: least norm}, the same for every subtree
-    with the key, and a repeated subtree adds it with its classes xored by
-    the class fixed above the node and the node's own mask, its norms
-    shifted by the norm above.  Nodes on the zero prefix of a symmetric walk
-    are not memoised (their halving tests the real w = 0).
+    c_i = sum_{l > i} lam[l][i] w_l.  A node at level j holds the partial
+    centres c_0..c_j of the levels fixed above it as one packed int X,
+    slot i (bits W i .. W i + W - 1) holding c_i + 2^(W-1), the slot width
+    W derived once per walk by `_slot_bits` so that no slot overflows.  A
+    node reads its own centre and its child's with a shift and a mask, and
+    its child's centres are one multiply-add, X + w_j LP[j] with LP[j] the
+    row lam[j][:j] packed the same way.
+
+    A walk that does not collect memoises subtrees: below a node at level
+    j, the histogram {norm of levels <= j: count} depends only on
+    c_0..c_j and the remaining budget, and shifting w_j by delta * k is a
+    bijection of the subtree that keeps every partial norm while adding
+    d_j delta k to c_j and lam[j][l] delta k to each lower c_l.  Reducing
+    c_j modulo d_j delta from the top level down to level 0, correcting
+    the lower centres as it goes, therefore names the subtree exactly: on
+    the packed centres each level is one step, subtracting k times the
+    packed period shift PL[i] = d_i delta e_i + delta lam[i][:i], and the
+    key is (reduced X, budget), its level implied by X's size since every
+    reduced slot is at least 2^(W-1).  A repeated subtree adds its stored
+    histogram shifted by the norm above it.  In a class walk (delta = 1)
+    the reduction shifts x_red[i] by its quotient k_i, which flips the
+    class of every vector of the subtree by the parity mask, the xor of
+    the masks of U[i] over the odd k_i.  A class walk stores each
+    subtree's class map {class of levels <= j xor mask: least norm}, the
+    same for every subtree with the key, and a repeated subtree adds it
+    with its classes xored by the class fixed above the node and the
+    node's own mask, its norms shifted by the norm above.  Nodes on the
+    zero prefix of a symmetric walk are not memoised (their halving tests
+    the real w = 0).
     """
     coset = _as_coset(target)
     L = coset.base
@@ -362,8 +410,12 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
         raise ValueError(f"a class walk packs classes into 64 bits; dimension {n} > 64")
     max_norm = Fraction(max_norm)
     dmul, U, Uinv, d, lam, m, M, _, _ = _reduced_data(L)
-    # offset in reduced coordinates; delta clears its denominators
-    delta, (s,) = clear_denominators([vecmat(coset.offset, Uinv)])
+    # offset in reduced coordinates, s / delta in lowest terms, from the
+    # cleared offset t = ti / dt in ints
+    dt, (ti,) = clear_denominators([coset.offset])
+    s = vecmat(ti, Uinv)
+    g = gcd(dt, *s)
+    delta, s = dt // g, [x // g for x in s]
     # when -t = t mod Z^n, walk one of each +/- pair and double the count
     sym = all((2 * si) % delta == 0 for si in s)
     if classes and any(s):
@@ -371,16 +423,22 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     if delta == 1:
         max_norm = _grid_radius(L, max_norm)
     top = int(max_norm * dmul * delta * delta * M)
-    stats = EnumStats([0] * n)
+    stats = EnumStats([0] * n, [0] * n, [0] * n)
     if top < 0:
         return {}, ({} if classes else [] if collect or first_only else None), 1, stats
     counts: dict[int, int] = {}
     vecs = [] if (collect or first_only) else None
     mins = {} if classes else None
     memo = {} if vecs is None else None
-    nodes = stats.nodes
-    lam_rows = [lam[j][:j] for j in range(n)]
+    nodes, lookups, hits = stats.nodes, stats.level_lookups, stats.level_hits
     period = [dj * delta for dj in d]
+    # packed centres: slot i of an int holds c_i + bias in W bits
+    W = _slot_bits(d, lam, m, top, delta)
+    bias, slot = 1 << (W - 1), (1 << W) - 1
+    sh = [W * i for i in range(n)]
+    low = [(1 << t) - 1 for t in sh]
+    LP = [sum(lam[j][i] << sh[i] for i in range(j)) for j in range(n)]
+    PL = [(period[i] << sh[i]) + delta * LP[i] for i in range(n)]
     stop = []
     # when collecting or finding, xo[j] holds the original-basis coordinates
     # of the part x_red[j:] . U[j:] fixed above level j, so each vector costs
@@ -402,29 +460,25 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
             vecs.append(v)
             stop.append(True)
 
-    def memo_key(j, cent, rem):
+    def memo_key(j, Y, rem):
         # the subtree's key and, in a class walk, its parity mask
-        cent = cent[:]
         mask = 0
         for i in range(j, -1, -1):
-            k, cent[i] = divmod(cent[i], period[i])
+            k = (((Y >> sh[i]) & slot) - bias) // period[i]
             if k:
+                Y -= k * PL[i]
                 if classes and k & 1:
                     mask ^= pm[i]
-                kd = k * delta
-                lami = lam_rows[i]
-                for l in range(i):
-                    cent[l] -= lami[l] * kd
-        cent.append(rem)
-        return tuple(cent), mask
+        return (Y, rem), mask
 
-    def level(j, cacc, rem, zero_pref, acc, out, wj, hi, kc, mout):
-        # walks w_j = wj, wj + delta, ..., hi, pushing each vector's scaled
-        # norm plus acc into out and, in a class walk, its class (that of
-        # levels <= j xor kc) with its least norm plus acc into mout
+    def level(j, X, rem, zero_pref, acc, out, wj, hi, kc, mout):
+        # walks w_j = wj, wj + delta, ..., hi below the packed centres X
+        # (slots 0..j), pushing each vector's scaled norm plus acc into out
+        # and, in a class walk, its class (that of levels <= j xor kc) with
+        # its least norm plus acc into mout
         nonlocal memo
         nodes[j] += 1
-        c = cacc[j]
+        c = (X >> sh[j]) - bias
         dj, mj = d[j], m[j]
         if j == 0:
             if classes:
@@ -450,9 +504,12 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
                         return
                 wj += delta
             return
-        lamj = lam_rows[j]
         jn = j - 1
-        dn, mn, sn, ln = d[jn], m[jn], s[jn], lamj[jn]
+        # the centres below level j, and the child's own centre before w_j
+        X &= low[j]
+        cb = (X >> sh[jn]) - bias
+        LPj = LP[j]
+        dn, mn, sn, ln = d[jn], m[jn], s[jn], lam[j][jn]
         kj = kc ^ pm[j] if classes else kc
         while wj <= hi:
             Z = dj * wj + c
@@ -460,7 +517,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
             r = rem - u
             # the child's first and last w (as for the top level below);
             # an empty child is skipped
-            cn = cacc[jn] + ln * wj
+            cn = cb + ln * wj
             A = isqrt(r // mn)
             lo = -((A + cn) // dn)
             wn = lo + ((sn - lo) % delta)
@@ -475,14 +532,14 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
                 q = (wj - s[j]) // delta
                 xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
             kn = kj if wj & 1 else kc
-            child = [cacc[i] + lamj[i] * wj for i in range(j)]
+            child = X + wj * LPj
             if memo is None or on_zero:
                 level(jn, child, r, on_zero, acc + u, out, wn, hn, kn, mout)
                 if stop:
                     return
             else:
                 key, mask = memo_key(jn, child, r)
-                stats.lookups += 1
+                lookups[jn] += 1
                 hit = memo.get(key)
                 if hit is None:
                     h = {}
@@ -497,7 +554,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
                             memo = None
                             stats.memo_off = True
                 else:
-                    stats.hits += 1
+                    hits[jn] += 1
                 h, packed = hit
                 base = acc + u
                 for k, v in h.items():
@@ -519,7 +576,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     first = -hi + ((s[n - 1] + hi) % delta)
     if sym:
         first = max(first, s[n - 1] % delta)
-    level(n - 1, [0] * n, top, sym, 0, counts, first, hi, 0, mins)
+    level(n - 1, sum(bias << t for t in sh), top, sym, 0, counts, first, hi, 0, mins)
     # level refers to itself: break the cycle so the memo goes on return
     del level
     return counts, (mins if classes else vecs), M * dmul * delta * delta, stats

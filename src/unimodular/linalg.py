@@ -37,17 +37,22 @@ def clear_denominators(m) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
 
 
+def int_matmul(a, b):
+    """The product a b of integer matrices, for callers that know their
+    factors are ints; `matmul` checks and clears first."""
+    bt = transpose(b)
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def matmul(a, b):
     """Exact product a b.  Integer input gives integers; rational input is
     multiplied over the common denominator of each factor and divided once."""
     if all(type(x) is int for m in (a, b) for row in m for x in row):
-        bt = transpose(b)
-        return [[sum(map(mul, row, col)) for col in bt] for row in a]
+        return int_matmul(a, b)
     da, ai = clear_denominators(a)
     db, bi = clear_denominators(b)
-    bt = transpose(bi)
     den = da * db
-    return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in ai]
+    return [[Fraction(x, den) for x in row] for row in int_matmul(ai, bi)]
 
 
 def vecmat(v, m):

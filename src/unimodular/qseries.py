@@ -123,9 +123,13 @@ class QSeries:
         denominators.  Computed once per series; an integral series (den 1)
         hands out its own items, so the cache costs it no copy."""
         if self._ints is None:
-            den, (nums,) = clear_denominators([list(self.terms.values())])
-            self._ints = den, (self.terms.items() if den == 1
-                               else list(zip(self.terms, nums)))
+            terms = self.terms
+            # in normal form a coefficient is integral exactly when an int
+            if all(type(c) is int for c in terms.values()):
+                self._ints = 1, terms.items()
+            else:
+                den, (nums,) = clear_denominators([list(terms.values())])
+                self._ints = den, list(zip(terms, nums))
         return self._ints
 
     # -- constructors ----------------------------------------------------
@@ -224,8 +228,11 @@ class QSeries:
         return result
 
     def truncate(self, t: int) -> "QSeries":
-        """Forget coefficients at exponents >= t (cannot extend knowledge)."""
-        t = min(index(t), self.trunc)
+        """Forget coefficients at exponents >= t (cannot extend knowledge).
+        Cutting nothing returns the series itself, its cleared form kept."""
+        t = index(t)
+        if t >= self.trunc:
+            return self
         return QSeries._make({e: c for e, c in self.terms.items() if e < t}, t)
 
     def subs_q2(self) -> "QSeries":

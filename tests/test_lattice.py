@@ -505,6 +505,73 @@ def test_class_walk_leaves_no_reference_cycles():
         gc.enable()
 
 
+def _brute_class_minima(L, R):
+    """Least norm per mod-2 class of the coordinates, over the exact box."""
+    out = {}
+    for x, norm in _brute_vectors(L, R):
+        c = sum((a & 1) << i for i, a in enumerate(x))
+        if norm < out.get(c, norm + 1):
+            out[c] = norm
+    return out
+
+
+def test_walks_with_centres_wider_than_64_bits():
+    # an integer Gram scaled by about 10^30 puts the Gram-Schmidt table, and
+    # so the centres, far past 64 bits; count, coset and class walks still
+    # match the box, so the derived slot width leaves no slot to overflow
+    rng = random.Random(6502)
+    hits = wide = 0
+    for _ in range(10):
+        n = rng.randrange(2, 5)
+        while True:
+            b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+            gram = matmul(b, transpose(b))
+            if det_frac(gram) >= 2 ** n:
+                break
+        scale = 10 ** 30 + rng.randrange(10 ** 6)
+        L = Lattice([[scale * x for x in row] for row in gram])
+        R = scale * rng.randrange(8, 16)
+        dmul, _, _, d, lam, m, M, _, _ = lattice._reduced_data(L)
+        wide += max(abs(lam[i][j]) for i in range(n) for j in range(i)) >= 1 << 64
+        assert lattice._slot_bits(d, lam, m, int(R * dmul * M), 1) > 64
+        brute = _brute_counts(L, R)
+        counts, mins, scale_u, stats = lattice._enum(L, R, classes=True)
+        assert {Fraction(u, scale_u): v for u, v in counts.items()} == brute
+        assert {c: Fraction(u, scale_u) for c, u in mins.items()} == _brute_class_minima(L, R)
+        hits += stats.hits
+        counts, stats = _walk(L, R)
+        assert counts == brute
+        hits += stats.hits
+        off = [Fraction(rng.randrange(-3, 4), rng.choice((2, 3, 4))) for _ in range(n)]
+        c = Coset(L, off)
+        counts, stats = _walk(c, R)
+        assert counts == _brute_counts(c, R)
+        hits += stats.hits
+    assert hits > 0 and wide >= 6
+
+
+def test_benchmark_walks_keep_their_counters(leech_lattice):
+    # the walks are deterministic, so their work counters are pinned: nodes,
+    # lookups, hits, stored subtrees and whether the memo was dropped
+    walks = [
+        (d16_plus_fixture(), 6, (164, 490, 342, 148, False)),
+        (a15_plus_fixture(), 6, (288, 824, 551, 273, False)),
+        (leech_lattice, 2, (12928, 1072, 42, lattice.MEMO_LIMIT, True)),
+    ]
+    for L, R, want in walks:
+        st = lattice._enum(L, R)[3]
+        assert (sum(st.nodes), st.lookups, st.hits, st.stored, st.memo_off) == want
+        assert len(st.level_lookups) == len(st.level_hits) == L.dim
+        assert all(h <= k for h, k in zip(st.level_hits, st.level_lookups))
+    # per level (of the looked-up subtree's root): D16+ hits on every level
+    # below 14, Leech on none of 11 and 13..18
+    d16 = lattice._enum(d16_plus_fixture(), 6)[3]
+    assert all(d16.level_hits[:14]) and not any(d16.level_hits[14:])
+    leech = lattice._enum(leech_lattice, 2)[3]
+    assert leech.level_hits[11] == 0 and not any(leech.level_hits[13:19])
+    assert leech.level_hits[12] > 0
+
+
 def test_find_any_skips_zero_in_shifted_coset():
     c = Coset(zn(2), [Fraction(1, 2), Fraction(0)])
     norm, x = find_any(c, 3)

@@ -12,6 +12,7 @@ from unimodular.linalg import (
     hnf_rows,
     hnf_rows_frac,
     identity,
+    int_matmul,
     integral_gso,
     lll_reduce_gram,
     mat_inverse,
@@ -404,8 +405,9 @@ def test_lll_reduce_gram_rejects_indefinite():
 
 def test_matmul_exact_types():
     a = [[1, 2], [3, 4]]
-    assert matmul(a, a) == [[7, 10], [15, 22]]
+    assert matmul(a, a) == int_matmul(a, a) == [[7, 10], [15, 22]]
     assert all(type(x) is int for row in matmul(a, a) for x in row)
+    assert int_matmul([[1, 0, -2]], [[3], [4], [5]]) == [[-7]]
     b = [[Fraction(1, 2), Fraction(2, 3)], [Fraction(-3, 4), 5]]
     naive = [[sum(x * y for x, y in zip(row, col)) for col in transpose(b)] for row in a]
     assert matmul(a, b) == naive

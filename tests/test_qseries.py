@@ -370,6 +370,8 @@ def test_truncation_semantics():
     b = a.truncate(4)
     assert b.trunc == 4 and b.items() == [(0, Fraction(1)), (3, Fraction(2))]
     assert a.truncate(100).trunc == 12  # cannot extend knowledge
+    # cutting nothing hands back the series itself, its cleared form kept
+    assert a.truncate(12) is a and a.truncate(100) is a
     # terms at or beyond trunc are dropped on construction
     assert QSeries({5: 7}, 5).terms == {}
 
