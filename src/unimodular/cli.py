@@ -251,12 +251,18 @@ def _cmd_code_info(args) -> int:
 
 
 def _cmd_genus_avg(args) -> int:
+    upto = args.upto if args.upto is not None else 4
+    if upto < 0:
+        raise CliError("--upto must be >= 0, not %d" % upto)
     avg = genus.solve_cj(args.dim)
     if args.json:
         _emit(avg.to_json_dict())
         return 0
+    known = (avg.series.trunc - 1) // 4  # highest norm below the truncation
+    if upto > known:
+        raise CliError("--upto %d is beyond the solved window (norms up to %d)"
+                       % (upto, known))
     print("genus-average theta series, dimension %d:" % args.dim)
-    upto = args.upto if args.upto is not None else 4
     terms = ["1"]
     for k in range(1, upto + 1):
         c = avg.coeff_norm(k)

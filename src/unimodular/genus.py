@@ -21,16 +21,21 @@ so |Aut| >= 2, each class adds at most 1/2 to M_0, and the number of
 classes of minimal norm >= 3 is at least 2 M_0.
 
 The c_j come from an integer linear system (the basis series are
-integral), solved by the fraction-free `linalg.gauss_solve`.
+integral), solved by the fraction-free `linalg.gauss_solve`.  One power
+chain theta3^n g2^j, j = 0..[n/4], one product apart, is the whole basis:
+the alpha rows are read off it, and since g2 + h2 = 1 the average is
+theta3^n sum_k e_k g2^k with e_k = c_k + (-1)^k sum_{j>=k} C(j,k) c_j,
+one combination of the same chain.  No power of h2 is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .linalg import gauss_solve
-from .qseries import QSeries, combine, g2, h2, power_chain, rat_str, theta3
+from .qseries import QSeries, combine, g2, power_chain, rat_str, theta3
 
 
 @dataclass
@@ -63,16 +68,17 @@ def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
     full rank; for other n it is one more row the solution must satisfy.
     `verify_extra` surplus relations (i = m+1, m+2, ...) are checked after
     solving; they must hold automatically.
+
+    The rows and the average both read the chain theta3^n g2^j (m
+    products after theta3^n); h2^j = (1 - g2)^j is folded into exact
+    coefficients of g2^k, so no h2 series and no final product is built.
     """
     if n <= 4:
         raise ValueError("the average theta formula needs dimension > 4")
     m = n // 4
     trunc = 16 * (m + verify_extra) + 1  # alpha_(4i) up to i = m + verify_extra
-    t3n = theta3(trunc) ** n
-    one = QSeries.one(trunc)
-    gpow = power_chain(g2(trunc), one, m + 1, trunc)
-    hpow = power_chain(h2(trunc), one, m + 1, trunc)
-    basis = [(t3n * gp).truncate(trunc) for gp in gpow]
+    # theta3^n g2^j for j = 0..m, one product apart
+    basis = power_chain(g2(trunc), theta3(trunc) ** n, m + 1, trunc)
 
     # the basis is integral and known past q^(4(m + verify_extra)), so the
     # rows are read straight from the stored int coefficients
@@ -97,8 +103,11 @@ def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
         assert sum(cc * x for cc, x in zip(c, surplus_row(i))) == 0, (
             "surplus average-theta relation failed at i=%d" % i)
 
-    series = combine(c, [gp + hp for gp, hp in zip(gpow, hpow)])
-    series = (t3n * series).truncate(trunc)
+    # h2 = 1 - g2, so sum_j c_j (g2^j + h2^j) = sum_k e_k g2^k with
+    # e_k = c_k + (-1)^k sum_{j>=k} C(j,k) c_j
+    e = [ck + (-1) ** k * sum(comb(j, k) * c[j] for j in range(k, m + 1))
+         for k, ck in enumerate(c)]
+    series = combine(e, basis)
     assert series.coeff(0) == 1
     return AverageTheta(n, c, series)
 

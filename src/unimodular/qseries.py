@@ -409,32 +409,33 @@ def delta8(trunc: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _g2_h2(trunc: int) -> tuple[QSeries, QSeries]:
+def _inv_plus_odd(trunc: int) -> QSeries:
+    """prod_m (1+q^(2m-1))^(-8), the denominator g2 and h2 share."""
     if trunc < 8:
         raise ValueError("truncation too small")
-    odd = range(4, trunc, 8)  # q^(2m-1), in quarters
-    inv_plus_odd = _product((_binomial(e, 1, -8, trunc) for e in odd), trunc)
-    h = inv_plus_odd * _product((_binomial(e, -1, 8, trunc) for e in odd), trunc)
-    t = trunc - 4
-    g = inv_plus_odd.truncate(t) * _product(
-        (_binomial(e, 1, 8, t) for e in range(8, t, 8)), t)
-    return QSeries({4: 16}, trunc) * g, h
+    return _product((_binomial(e, 1, -8, trunc) for e in range(4, trunc, 8)), trunc)
 
 
+@lru_cache(maxsize=None)
 def g2(trunc: int) -> QSeries:
     """g2(q) = 16q prod_m ((1+q^(2m))/(1+q^(2m-1)))^8 = 16q - 128q^2 + ...
 
     Satisfies g2 * theta3^4 = theta2^4 and g2 + h2 = 1.
     """
-    return _g2_h2(trunc)[0]
+    inv = _inv_plus_odd(trunc)
+    t = trunc - 4  # the leading 16q lifts the product's truncation to trunc
+    g = inv.truncate(t) * _product((_binomial(e, 1, 8, t) for e in range(8, t, 8)), t)
+    return QSeries({4: 16}, trunc) * g
 
 
+@lru_cache(maxsize=None)
 def h2(trunc: int) -> QSeries:
     """h2(q) = prod_m ((1-q^(2m-1))/(1+q^(2m-1)))^8 = 1 - 16q + 128q^2 - ...
 
     Satisfies h2 * theta3^4 = theta4^4 and g2 + h2 = 1.
     """
-    return _g2_h2(trunc)[1]
+    inv = _inv_plus_odd(trunc)
+    return inv * _product((_binomial(e, -1, 8, trunc) for e in range(4, trunc, 8)), trunc)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """CLI wiring: every subcommand, exit codes, JSON round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -160,6 +161,30 @@ def test_genus_bound(capsys):
     assert code == 0 and "8.09217e+20" in out
 
 
+def _digest(capsys, *argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        h.update(out.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("argvs, digest", [
+    ([["table1", "--json"]],
+     "d5c207966cb1d2523cc72768acff589d3c935957e440bb6a2f3884a59300eeeb"),
+    ([["bound", "--dim", "33", "--mu", "4"]],
+     "4779fc52e14a8d5660018c3c2d0de92977a1f2f6db1a92586c947c4698ee5381"),
+    ([["genus-avg", "--dim", str(n), "--json"] for n in range(5, 41)],
+     "d151723f5660f03f053ae053ffd12b839e4dceabab39e18d2eaa115aae24d028"),
+    ([["genus-bound", "--dim", "33", "--json"]],
+     "9fd0b416b96fa90c1b3d0b4300f67105c429064d0dd284ff0c8a096c819c84c5"),
+], ids=["table1", "bound33", "genus-avg", "genus-bound"])
+def test_series_engine_outputs_are_pinned(capsys, argvs, digest):
+    # a speed-up of the series or genus engine must print the same bytes
+    assert _digest(capsys, *argvs) == digest
+
+
 def test_cli_error_paths(capsys):
     code, _, err = run(capsys, "verify", "--lattice", "nosuch")
     assert code == 2 and "no lattice file or builtin" in err
@@ -193,14 +218,18 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
      [[4, "1/2"], ["1/2", 1]], 2),
     (["genus-bound", "--dim", "33", "--mass", "-5"], None, 2),
     (["genus-bound", "--dim", "33", "--mass", "0"], None, 2),
+    # the dimension-9 average is solved through norm 12
+    (["genus-avg", "--dim", "9", "--upto", "13"], None, 2),
+    (["genus-avg", "--dim", "9", "--upto", "-3"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
         path = _gram_file(tmp_path, gram)
         argv = [path if a == "{file}" else a for a in argv]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == status
     if status == 2:
+        assert out == ""  # nothing is printed before the error
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 

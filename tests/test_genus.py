@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from unimodular.genus import DEFAULT_MASS_33, mass_count_bound, solve_cj
-from unimodular.qseries import eisenstein_e4, g2, h2, theta2, theta3, theta4
+from unimodular.qseries import QSeries, eisenstein_e4, g2, h2, theta2, theta3, theta4
 
 
 def test_dim8_average_is_z8_theta():
@@ -78,16 +78,44 @@ def test_alpha_relation_holds_beyond_the_solving_window():
 
 
 def test_average_matches_basis_reconstruction():
-    avg = solve_cj(13)
-    t = avg.series.trunc
-    acc = None
-    for j, c in enumerate(avg.c):
-        if not c:
-            continue
-        term = (g2(t) ** j + h2(t) ** j) * c
-        acc = term if acc is None else acc + term
-    recon = theta3(t) ** 13 * acc
-    assert avg.series.agrees_with(recon, upto=min(t, recon.trunc))
+    # the average from the public g2 and h2, without the fold h2 = 1 - g2
+    for n in range(5, 41):
+        avg = solve_cj(n)
+        t = avg.series.trunc
+        g, h = g2(t), h2(t)
+        gp = hp = QSeries.one(t)
+        acc = QSeries({}, t)
+        for c in avg.c:
+            acc = acc + (gp + hp) * c
+            gp, hp = gp * g, hp * h
+        recon = theta3(t) ** n * acc
+        assert avg.series == recon.truncate(t)
+
+
+@pytest.mark.parametrize("n", [5, 9, 33, 40])
+def test_solve_makes_one_product_per_power(monkeypatch, n):
+    # theta3^n by binary powering, then one product per power of g2
+    m = n // 4
+    trunc = 16 * (m + 1) + 1
+    g2(trunc), theta3(trunc)
+    calls = []
+    mul = QSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    solve_cj(n)
+    assert len(calls) == m + (n.bit_length() - 1) + bin(n).count("1")
+
+
+def test_g2_builds_no_h2():
+    g2.cache_clear()
+    h2.cache_clear()
+    g2(57)
+    assert h2.cache_info().currsize == 0
+    assert g2(57) + h2(57) == QSeries.one(57)
 
 
 def test_dim33_exact_averages():
