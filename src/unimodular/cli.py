@@ -134,6 +134,8 @@ def _cmd_table1(args) -> int:
 
 
 def _series_cmd(args, fn, label: str) -> int:
+    if args.max_norm < 0:
+        raise CliError("--max-norm must be at least 0, got %d" % args.max_norm)
     L = _load_lattice(args.lattice)
     series = fn(L, args.max_norm)
     if args.json:

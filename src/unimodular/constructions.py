@@ -15,17 +15,16 @@ lattice is at hand:
     lattice along a norm-4 vector v yields a unimodular lattice one
     dimension lower, losing at most 1 from the minimal norm.
 
-Both builds run on integer matrices: the HNF of integer rows and the
-cleared integer forms that `Lattice` keeps (`int_gram`, `int_gens`).
-Fractions are made once, for the Gram matrix and generators of the result;
-the shave is a `sublattice` of L.
+Both builds, and the fixtures A15+ and D16+, run on integer matrices: the
+HNF of integer rows and the integer forms that are a `Lattice`'s state
+(`int_gram`, `int_gens`).  The result's forms go to `Lattice.from_ints`,
+so no Fraction matrix is made; the shave is a `sublattice` of L.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import prod
 from operator import mul, xor
@@ -41,9 +40,7 @@ from .lattice import (
 from .linalg import (
     gf2_inverse,
     hnf_rows,
-    hnf_rows_frac,
     int_matmul,
-    matmul,
     parity_kernel_basis,
     transpose,
 )
@@ -64,11 +61,9 @@ def a15_plus_fixture() -> Lattice:
     order-4 glue class [4] = ((1/4)^12, (-3/4)^4) cuts the determinant
     from 16 to 1.
     """
-    glue = [Fraction(1, 4)] * 12 + [Fraction(-3, 4)] * 4
-    basis = hnf_rows_frac(_a15_roots() + [glue])
-    assert len(basis) == 15
-    gram = matmul(basis, transpose(basis))
-    return Lattice(gram, gens=basis, scale_sq=1, name="A15+")
+    glue = [1] * 12 + [-3] * 4  # 4 times the glue class
+    rows = [[4 * x for x in r] for r in _a15_roots()] + [glue]
+    return _span_lattice(rows, 4, 15, name="A15+")
 
 
 def d16_plus_fixture() -> Lattice:
@@ -76,10 +71,18 @@ def d16_plus_fixture() -> Lattice:
 
     D16 = {x in Z^16 : sum x even} plus the halfspin class (1/2)^16.
     """
-    basis = hnf_rows_frac(_a15_roots() + [[1, 1] + [0] * 14, [Fraction(1, 2)] * 16])
-    assert len(basis) == 16
-    gram = matmul(basis, transpose(basis))
-    return Lattice(gram, gens=basis, scale_sq=1, name="D16+")
+    rows = [[2 * x for x in r] for r in _a15_roots() + [[1, 1] + [0] * 14]] + [[1] * 16]
+    return _span_lattice(rows, 2, 16, name="D16+")
+
+
+def _span_lattice(rows, den: int, dim: int, name: str) -> Lattice:
+    """The lattice spanned by the rows / den, for integer rows of rank dim:
+    with H the HNF of the rows, its generators are H / den and its Gram
+    H H^T / den^2, made in ints."""
+    basis = hnf_rows(rows)
+    assert len(basis) == dim
+    return Lattice.from_ints((den * den, int_matmul(basis, transpose(basis))), (den, basis),
+                             name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +97,16 @@ def _int_gram(L: Lattice) -> list[list[int]]:
     return L.int_gram[1]
 
 
+#: bytes.translate table swapping the bytes 0 and 1
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _xor_bytes(a: bytes, b: bytes) -> bytes:
+    """The bytewise xor of two byte strings of one length, as one big-int
+    xor."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
 class _Mod2Space:
     """Bitmask model of (L/2L, bilinear form B, norm form q).
 
@@ -101,9 +114,9 @@ class _Mod2Space:
     mod 2.  For an odd lattice q(c) = |x|^2 mod 2 (a linear form); for an
     even lattice q(c) = |x|^2/2 mod 2 (a genuine quadratic form).  `q_of`
     reads q(c) off the integer Gram; `q` is the table over all 2^m
-    classes, built on first use.  The transvection t_v : x -> x + B(x,v) v
-    preserves both forms exactly when q(v) = 0 (odd case) or q(v) = 1
-    (even case).
+    classes as bytes, built on first use by doubling.  The transvection
+    t_v : x -> x + B(x,v) v preserves both forms exactly when q(v) = 0
+    (odd case) or q(v) = 1 (even case).
     """
 
     def __init__(self, L: Lattice):
@@ -126,17 +139,24 @@ class _Mod2Space:
                 + sum(g[i][j] for k, i in enumerate(bits) for j in bits[k + 1:])) & 1
 
     @cached_property
-    def q(self) -> bytearray:
+    def q(self) -> bytes:
         # q(c + e_i) = q(c) + q(e_i) + B(c, e_i) for c below bit i (the
-        # cross term vanishes mod 2 in the odd case)
+        # cross term vanishes mod 2 in the odd case): each step doubles the
+        # table, its new half the old one xor the table of B(c, e_i) over
+        # c < 2^i, flipped when q(e_i) = 1; that parity table doubles too,
+        # each new half the old one, flipped when bit t of row i is set
         g = self.g
-        q = bytearray(1)
+        q = b"\x00"
         for i in range(self.m):
+            half = q
             if self.even:
-                qe, row = (g[i][i] // 2) & 1, self.brows[i]
-                q += bytes([x ^ qe ^ ((c & row).bit_count() & 1) for c, x in enumerate(q)])
-            else:
-                q += bytes([x ^ (g[i][i] & 1) for x in q])
+                row, par = self.brows[i], b"\x00"
+                for t in range(i):
+                    par += par.translate(_FLIP) if row >> t & 1 else par
+                half = _xor_bytes(q, par)
+            if (g[i][i] // 2 if self.even else g[i][i]) & 1:
+                half = half.translate(_FLIP)
+            q += half
         return q
 
     def b(self, x: int, v: int) -> int:
@@ -333,7 +353,9 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     Everything runs on ints: the HNF basis B = [B_l | B_r] of those rows,
     the integer Gram G and the cleared generators `L.int_gens` = (dG, Gi).
     The Gram is (B_l G B_l^T + B_r G B_r^T) / 2 and the generators are
-    [B_l Gi | B_r Gi] / dG; Fractions are made once, for the output.
+    [B_l Gi | B_r Gi] / dG, handed to `Lattice.from_ints`, which brings
+    the Gram to lowest terms: over 1 when every entry of the sum is even,
+    as it is for a mod-2 isometry.
     """
     images = list(glue.images if isinstance(glue, GlueMap) else glue)
     m = L.dim
@@ -365,16 +387,15 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     left = [row[:m] for row in basis]
     right = [row[m:] for row in basis]
     g = space.g
-    gram = [[Fraction(a + b, 2) for a, b in zip(ra, rb)]
-            for ra, rb in zip(int_matmul(int_matmul(left, g), transpose(left)),
-                              int_matmul(int_matmul(right, g), transpose(right)))]
+    # [B_l G | B_r G] [B_l | B_r]^T, a + b concatenating the halves
+    gram = 2, int_matmul([a + b for a, b in zip(int_matmul(left, g), int_matmul(right, g))],
+                         transpose(basis))
     gens = None
     if L.int_gens is not None:
         dG, Gi = L.int_gens
-        gens = [[Fraction(x, dG) for x in a + b]  # a + b concatenates the halves
-                for a, b in zip(int_matmul(left, Gi), int_matmul(right, Gi))]
-    return Lattice(gram, gens=gens, scale_sq=L.scale_sq / 2,
-                   name=name or "double(%s)" % (L.name or "L"))
+        gens = dG, [a + b for a, b in zip(int_matmul(left, Gi), int_matmul(right, Gi))]
+    return Lattice.from_ints(gram, gens, scale_sq=L.scale_sq / 2,
+                             name=name or "double(%s)" % (L.name or "L"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Lattices with exact rational Gram matrices.
+"""Lattices held as integer matrices over one denominator.
 
-A lattice is presented by a symmetric positive definite Gram matrix over Q,
-optionally with an embedding (generator rows and a scale so that
-gram = scale_sq * gens gens^T).  A coset is a lattice translate, its offset
-written in coordinates of the base lattice's basis.
+A lattice is a symmetric positive definite Gram matrix over Q, optionally
+with an embedding (generator rows and a scale so that
+gram = scale_sq * gens gens^T).  A `Lattice` holds both as integer forms,
+gram = gi / dg and gens = Gi / dG in lowest terms, and every engine reads
+those; the rational matrices are views made on first read.  Builders hand
+over the integer forms (`Lattice.from_ints`), so a construction makes no
+Fraction matrix.  A coset is a lattice translate, its offset written in
+coordinates of the base lattice's basis.
 
 Short-vector enumeration is exact Fincke-Pohst: the Gram matrix is LLL
 reduced (delta = 99/100), fraction-free Gram-Schmidt data turns the usual recursion into
@@ -28,7 +32,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, isqrt, lcm
 from operator import mul, xor
 
@@ -50,86 +54,123 @@ from .qseries import QSeries, parse_rat, rat_str
 
 
 class Lattice:
-    """Exact lattice: Gram matrix, optional embedding, cached reduction data,
-    and the cleared integer forms that every reader of integrality, parity,
-    the determinant or an integer product uses."""
+    """Exact lattice, held as its integer forms.
+
+    The state is `int_gram` = (dg, gi), the Gram matrix gram = gi / dg, and
+    with an embedding `int_gens` = (dG, Gi), the generators gens = Gi / dG
+    (gram = scale_sq gens gens^T), each in lowest terms: dg > 0 and
+    gcd(dg, gi) = 1, so L is integral exactly when dg = 1.  Integrality,
+    parity, the determinant, LLL and every integer product read
+    `int_gram` and `int_gens`; `gram` and `gens` are Fraction views built
+    on first read (serialization and error text read them).
+
+    `Lattice(gram, gens)` takes rational matrices, clears them once and
+    keeps the matrices it was given as its views; `Lattice.from_ints`
+    takes the integer forms directly.  Both run the same checks.
+    """
 
     def __init__(self, gram, gens=None, scale_sq=1, name=""):
         gram = mat_frac(gram)
-        n = len(gram)
+        gens = None if gens is None else mat_frac(gens)
+        self._set_forms(clear_denominators(gram),
+                        None if gens is None else clear_denominators(gens), scale_sq, name)
+        # the cleared forms are in lowest terms already: these are the views
+        self.__dict__["gram"] = gram
+        self.__dict__["gens"] = gens
+
+    @classmethod
+    def from_ints(cls, int_gram, int_gens=None, scale_sq=1, name="") -> "Lattice":
+        """The lattice with Gram gi / dg and generators Gi / dG for
+        int_gram = (dg, gi) and int_gens = (dG, Gi) (or None), integer
+        matrices over positive integer denominators, in any terms."""
+        L = cls.__new__(cls)
+        L._set_forms(_lowest_terms(*int_gram),
+                     None if int_gens is None else _lowest_terms(*int_gens), scale_sq, name)
+        return L
+
+    def _set_forms(self, int_gram, int_gens, scale_sq, name):
+        dg, gi = int_gram
+        n = len(gi)
         if n == 0:
             raise ValueError("a lattice needs dimension at least 1")
-        if any(len(row) != n for row in gram):
+        if any(len(row) != n for row in gi):
             raise ValueError("gram matrix must be square")
-        # the checks run on the integer Gram gi = dg * gram
-        dg, gi = clear_denominators(gram)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gi[i][j] != gi[j][i]:
-                    raise ValueError(f"gram matrix not symmetric at ({i},{j})")
-        self.gram = gram
-        self._int_gram = dg, gi
+        if gi != transpose(gi):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if gi[i][j] != gi[j][i])
+            raise ValueError(f"gram matrix not symmetric at ({i},{j})")
+        self.int_gram = int_gram
         self.scale_sq = Fraction(scale_sq)
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
-        self.gens = None
-        self._int_gens = None
-        if gens is not None:
-            gens = mat_frac(gens)
-            if len(gens) != n:
+        if int_gens is not None:
+            dG, Gi = int_gens
+            if len(Gi) != n:
                 raise ValueError("generator count must equal the dimension")
-            # scale * Gi Gi^T / dG^2 == gi / dg, gens = Gi / dG, over the
-            # ints; both sides are symmetric
-            dG, Gi = clear_denominators(gens)
-            lhs, rhs = self.scale_sq.numerator * dg, self.scale_sq.denominator * dG * dG
-            for i in range(n):
-                for j in range(i, n):
-                    dot = sum(map(mul, Gi[i], Gi[j]))
-                    if lhs * dot != rhs * gi[i][j]:
-                        raise ValueError(
-                            f"generators do not match gram at ({i},{j}): "
-                            f"{self.scale_sq * Fraction(dot, dG * dG)} != {gram[i][j]}"
-                        )
-            self.gens = gens
-            self._int_gens = dG, Gi
+            if not Gi[0] or any(len(row) != len(Gi[0]) for row in Gi):
+                raise ValueError("generator rows must be non-empty and of equal length")
+            # scale * Gi Gi^T / dG^2 == gi / dg over the ints, a row at a
+            # time; both sides are symmetric, so the first mismatch in row
+            # order has j >= i
+            lhs = self.scale_sq.numerator * dg
+            rhs = self.scale_sq.denominator * dG * dG
+            for i, (dots, row) in enumerate(zip(int_matmul(Gi, transpose(Gi)), gi)):
+                left, right = [lhs * x for x in dots], [rhs * x for x in row]
+                if left != right:
+                    j = next(j for j in range(n) if left[j] != right[j])
+                    raise ValueError(
+                        f"generators do not match gram at ({i},{j}): "
+                        f"{self.scale_sq * Fraction(dots[j], dG * dG)} != {Fraction(row[j], dg)}"
+                    )
+        self.int_gens = int_gens
         self.name = name
         self._det = None
         self._reduced = None
 
-    @property
-    def int_gram(self) -> tuple[int, list[list[int]]]:
-        """(dg, gi), gram = gi / dg with dg the lcm of its denominators."""
-        return self._int_gram
+    @cached_property
+    def gram(self) -> list[list[Fraction]]:
+        dg, gi = self.int_gram
+        return [[Fraction(x, dg) for x in row] for row in gi]
 
-    @property
-    def int_gens(self) -> tuple[int, list[list[int]]] | None:
-        """(dG, Gi), gens = Gi / dG likewise; None without generators."""
-        return self._int_gens
+    @cached_property
+    def gens(self) -> list[list[Fraction]] | None:
+        if self.int_gens is None:
+            return None
+        dG, Gi = self.int_gens
+        return [[Fraction(x, dG) for x in row] for row in Gi]
 
     @property
     def dim(self) -> int:
-        return len(self.gram)
+        return len(self.int_gram[1])
 
     def det(self) -> Fraction:
         if self._det is None:
-            dg, gi = self._int_gram
+            dg, gi = self.int_gram
             self._det = Fraction(det_bareiss(gi), dg ** self.dim)
         return self._det
 
     def is_integral(self) -> bool:
-        return self._int_gram[0] == 1
+        return self.int_gram[0] == 1
 
     def norm_of(self, coords) -> Fraction:
         """Norm (squared length) of the vector with the given basis
         coordinates, v gi v^T / (dg dv^2) for v = dv * coords in ints."""
         dv, (v,) = clear_denominators([list(coords)])
-        dg, g = self._int_gram
+        dg, g = self.int_gram
         return Fraction(sum(a * sum(map(mul, row, v)) for a, row in zip(v, g) if a),
                         dg * dv * dv)
 
     def __repr__(self):
         tag = self.name or "lattice"
         return f"<{tag}: dim {self.dim}, det {self.det()}>"
+
+
+def _lowest_terms(den: int, m) -> tuple[int, list[list[int]]]:
+    """(den, m) over the gcd of den and m's entries; ValueError unless den
+    is a positive integer."""
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"denominator must be a positive integer, got {den!r}")
+    g = gcd(den, *[x for row in m for x in row])
+    return (den, m) if g == 1 else (den // g, [[x // g for x in row] for row in m])
 
 
 class Coset:
@@ -153,7 +194,7 @@ class Coset:
 
 def zn(n: int) -> Lattice:
     """The cubic lattice Z^n."""
-    return Lattice(identity(n), gens=identity(n), name=f"Z{n}")
+    return Lattice.from_ints((1, identity(n)), (1, identity(n)), name=f"Z{n}")
 
 
 # -- unimodularity -----------------------------------------------------------
@@ -164,7 +205,7 @@ def check_unimodular(L: Lattice) -> str:
     dg, g = L.int_gram
     if dg != 1:
         i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x % dg)
-        return f"not-unimodular(non-integral entry {L.gram[i][j]} at ({i},{j}))"
+        return f"not-unimodular(non-integral entry {Fraction(g[i][j], dg)} at ({i},{j}))"
     try:
         _reduced_data(L)
     except ValueError:
@@ -182,18 +223,17 @@ def sublattice(L: Lattice, rows, div: int = 1, name: str = "") -> Lattice:
     independent integer rows R in L's coordinates (so R / div need not lie
     in L: the shave's basis is a projection).
 
-    With L's cleared forms gram = gi / dg and gens = Gi / dG, its Gram
+    With L's integer forms gram = gi / dg and gens = Gi / dG, its Gram
     matrix is R gi R^T / (dg div^2) and its generators R Gi / (dG div),
-    both computed in ints; Fractions are made once, for the result.
+    handed to `Lattice.from_ints` as they are.
     """
     dg, g = L.int_gram
-    gram = [[Fraction(x, dg * div * div) for x in row]
-            for row in int_matmul(int_matmul(rows, g), transpose(rows))]
+    gram = dg * div * div, int_matmul(int_matmul(rows, g), transpose(rows))
     gens = None
     if L.int_gens is not None:
         dG, Gi = L.int_gens
-        gens = [[Fraction(x, dG * div) for x in row] for row in int_matmul(rows, Gi)]
-    return Lattice(gram, gens=gens, scale_sq=L.scale_sq, name=name)
+        gens = dG * div, int_matmul(rows, Gi)
+    return Lattice.from_ints(gram, gens, scale_sq=L.scale_sq, name=name)
 
 
 def even_sublattice(L: Lattice) -> Lattice:

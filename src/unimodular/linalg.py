@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 def identity(n: int) -> list[list[int]]:
@@ -37,11 +36,47 @@ def clear_denominators(m) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
 
 
+def _max_abs(m) -> int:
+    """The largest |entry| of a matrix, 0 when it has none."""
+    if not m or not m[0]:
+        return 0
+    return max(max(map(max, m)), -min(map(min, m)))
+
+
 def int_matmul(a, b):
-    """The product a b of integer matrices, for callers that know their
-    factors are ints; `matmul` checks and clears first."""
-    bt = transpose(b)
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    """The product a b of integer matrices (r x k times k x c), for callers
+    that know their factors are ints; `matmul` checks and clears first.
+
+    Packed: row t of b is one int P_t with W-bit slots, slot j (bits W j ..
+    W j + W - 1) holding b[t][j], so row i of the product is
+    sum_t a[i][t] P_t, one big-int multiply-add per nonzero a[i][t].  The
+    sum is exact as an int; adding the bias 2^(W-1) to every slot and
+    reading slot j with a shift and a mask gives entry (i, j) plus the
+    bias.  Every entry lies in [-B, B] for B = k max|a| max|b|, and
+    W = bitlength(B) + 1 gives B < 2^(W-1), so an entry plus the bias lies
+    in [1, 2^W - 1]: no slot borrows from or carries into its neighbour.
+    This width is tight: with bitlength(B) bits a slot overflows at an
+    entry equal to B, since B >= 2^(bitlength(B) - 1).
+    """
+    c = len(b[0]) if b else 0
+    w = (len(b) * _max_abs(a) * _max_abs(b)).bit_length() + 1
+    shifts = range(0, w * c, w)
+    packed = []
+    for row in b:
+        p = 0
+        for x in reversed(row):
+            p = (p << w) + x
+        packed.append(p)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum([half << s for s in shifts])
+    out = []
+    for row in a:
+        acc = bias
+        for x, p in zip(row, packed):
+            if x:
+                acc += x * p
+        out.append([(acc >> s & mask) - half for s in shifts])
+    return out
 
 
 def matmul(a, b):

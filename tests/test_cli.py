@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import unimodular
 from unimodular.cli import main
+from unimodular.constructions import GLUE_A15_T3, GLUE_D16_T4, SHAVE_30, SHAVE_32
 from unimodular.lattice import lattice_from_json_dict
 
 
@@ -185,6 +187,32 @@ def test_series_engine_outputs_are_pinned(capsys, argvs, digest):
     assert _digest(capsys, *argvs) == digest
 
 
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["construct", "code", "--code", "golay24"],
+     "bd0c85d945ea7b6af841a769e77ec4d1709fee6156d4fc4f49a0051faf5743ce"),
+    (["construct", "code", "--code", "rm32"],
+     "e6ff090781996a504bd476a05f7eff1de98a368afb1a5a6aee9c614ef40b6600"),
+    (["construct", "glue", "--base", "a15+", "--images", _csv(GLUE_A15_T3)],
+     "4cf3ab5d0ffacc5372d087476c4604c2fd80581da32f848a16c7c33a1ad253b4"),
+    (["construct", "glue", "--base", "d16+", "--images", _csv(GLUE_D16_T4)],
+     "6db3e0324e431741e7e8e20be63590c274c4fcca35fc9807848630edfe7872cf"),
+    (["construct", "shave", "--lattice", "glue30", "--vector=" + _csv(SHAVE_30)],
+     "164fd51121243395ad4be97bf16036adf85aabf100908aa21ab30ea3d0ce322c"),
+    (["construct", "shave", "--lattice", "glue32", "--vector=" + _csv(SHAVE_32)],
+     "d13653f7af4596653d2e3d6c1ea15959040b83ebeb9dd30d2bc03d6950e7a9f5"),
+], ids=["golay24", "rm32", "glue-a15", "glue-d16", "shave29", "shave31"])
+def test_construction_outputs_are_pinned(tmp_path, capsys, argv, digest):
+    # a change to the lattice engine or the builds must write the same bytes
+    path = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_cli_error_paths(capsys):
     code, _, err = run(capsys, "verify", "--lattice", "nosuch")
     assert code == 2 and "no lattice file or builtin" in err
@@ -192,6 +220,9 @@ def test_cli_error_paths(capsys):
     assert code == 2 and "unknown code" in err
     code, _, err = run(capsys, "theta", "--lattice", "code:nosuch", "--max-norm", "1")
     assert code == 2
+    for cmd in ("theta", "shadow"):  # used to say "truncation must be positive"
+        code, out, err = run(capsys, cmd, "--lattice", "z2", "--max-norm", "-1")
+        assert code == 2 and out == "" and err == "error: --max-norm must be at least 0, got -1\n"
 
 
 def _gram_file(tmp_path, gram):
@@ -337,6 +368,79 @@ def test_construct_fuzz(tmp_path_factory):
             assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         else:
             assert code == 0 or (code == 2 and "FAIL" in out), (code, out, err)
+            assert err == ""
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the lattice-reading commands
+
+
+def _lattice_file_cases():
+    """(lattice JSON, argv) for `verify`, `theta` and `shadow` on small
+    Gram files: random symmetric Grams, Grams of random generators (written
+    with them, or with one entry off), and Z^n under a random basis."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(1, 4))
+        data = {"dim": n}
+        kind = draw(st.sampled_from(["gram", "gram", "gens", "bad-gens", "zn"]))
+        if kind == "gram":
+            gram = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = draw(st.sampled_from(_ENTRIES))
+        else:
+            if kind == "zn":  # integer shears of the identity
+                gens = [[int(i == j) for j in range(n)] for i in range(n)]
+                for i, j, q in draw(st.lists(st.tuples(
+                        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+                        max_size=6)):
+                    if i != j:
+                        gens[i] = [a + q * b for a, b in zip(gens[i], gens[j])]
+            else:
+                gens = [[Fraction(draw(st.sampled_from(_ENTRIES))) for _ in range(n)]
+                        for _ in range(n)]
+            gram = [[sum(a * b for a, b in zip(r, s)) for s in gens] for r in gens]
+            if kind == "bad-gens":
+                gram[0][0] += 1
+            if kind != "zn" or draw(st.booleans()):
+                data["generators"] = [[str(x) for x in row] for row in gens]
+        data["gram"] = [[str(x) for x in row] for row in gram]
+        what = draw(st.sampled_from(["verify", "theta", "shadow"]))
+        if what == "verify":
+            extra = draw(st.sampled_from([[], [], ["--min", "1"], ["--min", "2"],
+                                          ["--min", "3/2"]]))
+        else:
+            extra = ["--max-norm", str(draw(st.integers(-1, 3)))]
+            extra += draw(st.sampled_from([[], ["--json"]]))
+        return data, [what, "--lattice", "{file}"] + extra
+
+    return case()
+
+
+def test_lattice_command_fuzz(tmp_path_factory):
+    # every input exits 0, 2 after a failed verify, or 2 with one `error:`
+    # line; an exception escaping main() would be a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path_factory.mktemp("fuzz") / "lattice.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_lattice_file_cases())
+    def check(case):
+        data, argv = case
+        path.write_text(json.dumps(data))
+        code, out, err = _run_quietly([str(path) if a == "{file}" else a for a in argv])
+        if code == 2 and err:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert out == ""
+        else:
+            assert code == 0 or (code == 2 and argv[0] == "verify" and "FAIL" in out), \
+                (code, out, err)
             assert err == ""
 
     check()

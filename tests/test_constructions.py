@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from unimodular.bounds import fit_from_theta, shadow_theta
+from unimodular.codes import code_to_odd_lattice, golay24
 from unimodular.constructions import (
     GLUE_A15_T3,
     GLUE_D16_T4,
@@ -17,6 +18,7 @@ from unimodular.constructions import (
     _images,
     _Mod2Space,
     a15_plus_fixture,
+    build_glue30,
     build_shave29,
     build_shave31,
     d16_plus_fixture,
@@ -281,12 +283,61 @@ def test_project_shave_matches_rational_formula(glue30, glue32):
         _assert_same(project_shave(L, v), _shave_oracle(L, v))
 
 
-@pytest.mark.parametrize("build", [a15_plus_fixture, d16_plus_fixture, lambda: zn(5)])
+def _random_integral_lattice(seed, n, even):
+    """A random symmetric integer Gram (not necessarily definite), with an
+    even diagonal when even, and at least one odd diagonal entry if not."""
+    rng = random.Random(seed)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if even:
+            g[i][i] = 2 * rng.randint(-2, 2)
+    if not even:
+        i = rng.randrange(n)
+        g[i][i] = 2 * rng.randint(-2, 2) + 1
+    return Lattice(g)
+
+
+def random_even_7():
+    return _random_integral_lattice(1, 7, even=True)
+
+
+def random_even_9():
+    return _random_integral_lattice(2, 9, even=True)
+
+
+def random_odd_6():
+    return _random_integral_lattice(3, 6, even=False)
+
+
+def random_odd_10():
+    return _random_integral_lattice(4, 10, even=False)
+
+
+@pytest.mark.parametrize("build", [a15_plus_fixture, d16_plus_fixture, lambda: zn(5),
+                                   random_even_7, random_even_9, random_odd_6, random_odd_10])
 def test_direct_norm_form_matches_table(build):
-    space = _Mod2Space(build())
+    L = build()
+    space = _Mod2Space(L)
+    assert space.even == all(L.int_gram[1][i][i] % 2 == 0 for i in range(L.dim))
     assert space.is_isometry([1 << i for i in range(space.m)])
     assert "q" not in vars(space)  # the isometry check never builds the table
+    assert type(space.q) is bytes and len(space.q) == 1 << space.m
     assert [space.q_of(c) for c in range(1 << space.m)] == list(space.q)
+
+
+@pytest.mark.parametrize("build", [a15_plus_fixture, d16_plus_fixture, build_glue30,
+                                   build_shave29, lambda: code_to_odd_lattice(golay24())],
+                         ids=["A15+", "D16+", "glue30", "shave29", "leech"])
+def test_builds_make_no_fraction_matrix(build):
+    # the builds hand Lattice its integer forms; the Fraction views wait
+    # for a reader
+    L = build()
+    assert "gram" not in vars(L) and "gens" not in vars(L)
+    assert L.is_integral() and L.det() == 1
+    dG, Gi = L.int_gens
+    assert L.gens == [[Fraction(x, dG) for x in row] for row in Gi]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from unimodular.linalg import (
     det_frac,
     hnf_rows_frac,
     identity,
+    mat_frac,
     mat_inverse,
     matmul,
     transpose,
@@ -616,6 +617,88 @@ def test_int_forms_are_kept_from_the_constructor():
     assert L.det() == Fraction(13 * 4 - 4 * 4, 36 ** 2) and not L.is_integral()
     assert zn(2).int_gram == (1, identity(2)) and zn(2).is_integral()
     assert Lattice([[2]]).int_gens is None
+
+
+def _random_rational_forms(rng, n, integral):
+    """(gram, gens, scale) with gram = scale gens gens^T, for random
+    generators over small denominators (or integer ones when integral)."""
+    dens = (1,) if integral else (1, 2, 3, 4, 6)
+    gens = [[Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n + 1)]
+            for _ in range(n)]
+    scale = Fraction(1) if integral else Fraction(rng.randint(1, 5), rng.choice(dens))
+    gram = [[scale * x for x in row] for row in matmul(gens, transpose(gens))]
+    return gram, gens, scale
+
+
+def _int_forms(rng, m):
+    """m as (d, k d m) for the lcm d of its denominators and a random k >= 1:
+    integer forms in any terms."""
+    den, mi = clear_denominators(m)
+    k = rng.randint(1, 6)
+    return den * k, [[k * x for x in row] for row in mi]
+
+
+def test_from_ints_matches_the_rational_constructor():
+    rng = random.Random(17)
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        gram, gens, scale = _random_rational_forms(rng, n, integral=trial % 3 == 0)
+        for with_gens in (False, True):
+            R = Lattice(gram, gens=gens if with_gens else None, scale_sq=scale, name="R")
+            I = Lattice.from_ints(_int_forms(rng, gram),
+                                  _int_forms(rng, gens) if with_gens else None,
+                                  scale_sq=scale, name="R")
+            assert "gram" not in vars(I) and "gens" not in vars(I)  # views are lazy
+            assert I.int_gram == R.int_gram == clear_denominators(gram)
+            assert I.int_gens == R.int_gens
+            assert I.int_gens == (clear_denominators(gens) if with_gens else None)
+            assert I.is_integral() == R.is_integral()
+            assert I.is_integral() == all(x.denominator == 1 for row in gram for x in row)
+            assert I.det() == R.det() == det_frac(gram)
+            assert I.gram == R.gram == gram and I.gram is I.gram
+            assert I.gens == R.gens == (gens if with_gens else None)
+            assert (I.dim, I.scale_sq, I.name) == (R.dim, R.scale_sq, R.name)
+
+
+def test_from_ints_lowers_a_doubled_gram():
+    # an even doubled Gram over 2 is integral; the doubling builds its
+    # lattices this way
+    L = Lattice.from_ints((2, [[4, 2], [2, 2]]), (2, [[2, 2], [0, 2]]))
+    assert L.int_gram == (1, [[2, 1], [1, 1]]) and L.is_integral()
+    assert L.int_gens == (1, [[1, 1], [0, 1]]) and L.det() == 1
+    assert check_unimodular(L) == "odd"
+    assert Lattice.from_ints((6, [[3, 0], [0, 9]])).int_gram == (2, [[1, 0], [0, 3]])
+
+
+@pytest.mark.parametrize("gram, gens, scale", [
+    ([], None, 1),  # dimension 0
+    ([[1, 0]], None, 1),  # not square
+    ([[1, 2], [3, 1]], None, 1),  # not symmetric
+    ([[1, 0, 0], [0, 1, 5], [0, 4, 1]], None, 1),
+    ([[1]], None, 0),  # scale
+    ([[1]], None, -2),
+    ([[1, 0], [0, 1]], [[1, 0]], 1),  # generator count
+    ([[2, 0], [0, 1]], [[1, 0], [0, 1]], 1),  # gram mismatch
+    ([[2, 1], [1, 2]], [[1, 1], [0, 1]], 2),
+    ([[Fraction(1, 2)]], [[1]], Fraction(1, 3)),
+    ([[1, 0], [0, 1]], [[1, 0], [0]], 1),  # ragged generators
+    ([[0]], [[]], 1),  # empty generator rows
+], ids=["dim0", "square", "symmetric", "symmetric3", "scale0", "scale-", "gen-count",
+        "mismatch", "mismatch2", "mismatch3", "ragged", "empty-gens"])
+def test_from_ints_rejects_what_the_rational_constructor_rejects(gram, gens, scale):
+    with pytest.raises(ValueError) as rational:
+        Lattice(gram, gens=gens, scale_sq=scale)
+    dg, gi = clear_denominators(mat_frac(gram))
+    igens = None if gens is None else clear_denominators(mat_frac(gens))
+    with pytest.raises(ValueError) as integer:
+        Lattice.from_ints((3 * dg, [[3 * x for x in row] for row in gi]), igens, scale_sq=scale)
+    assert str(integer.value) == str(rational.value)
+
+
+def test_from_ints_rejects_a_bad_denominator():
+    for den in (0, -1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            Lattice.from_ints((den, [[1]]))
 
 
 def test_sublattice_matches_the_rational_products():

@@ -414,6 +414,46 @@ def test_matmul_exact_types():
     assert all(isinstance(x, Fraction) for row in matmul(a, b) for x in row)
 
 
+def _sum_of_products(a, b):
+    """The product a b entry by entry, r x k times k x c (c read off b)."""
+    c = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(c)] for row in a]
+
+
+def _kernel_cases():
+    rng = random.Random(16)
+    cases = [
+        ([[3]], [[-4]]),  # 1 x 1
+        ([[0]], [[0]]),
+        ([], [[1, 2]]),  # no rows
+        ([[], []], []),  # k = 0
+        ([[1], [2]], [[]]),  # no columns
+        ([[0, 0], [1, -1]], [[0, 5], [0, -7]]),  # a zero row and a zero column
+    ]
+    for r, k, c in ((1, 5, 3), (4, 1, 6), (3, 7, 2), (6, 6, 6), (2, 3, 9)):
+        for hi in (1, 9, 1 << 64, 1 << 70):
+            a = [[rng.randint(-hi, hi) for _ in range(k)] for _ in range(r)]
+            b = [[rng.randint(-hi, hi) for _ in range(c)] for _ in range(k)]
+            cases.append((a, b))
+    # entries that reach the bound k max|a| max|b| and its negative, side
+    # by side (top = 8, k = 4 makes the bound a power of two)
+    for top in (5, 8, 1 << 40, (1 << 64) + 1):
+        for k in (1, 3, 4):
+            a = [[top] * k, [-top] * k, [0] * k]
+            b = [[top, -top, 0, top]] * k
+            cases.append((a, b))
+    return cases
+
+
+def test_int_matmul_matches_the_sum_of_products():
+    for a, b in _kernel_cases():
+        got = int_matmul(a, b)
+        assert got == _sum_of_products(a, b), (a, b)
+        assert all(type(x) is int for row in got for x in row)
+    # the largest entry reaches k max|a| max|b| exactly
+    assert int_matmul([[7] * 3], [[9]] * 3) == [[189]]
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
