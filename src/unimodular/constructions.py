@@ -24,8 +24,10 @@ so no Fraction matrix is made; the shave is a `sublattice` of L.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress
 from math import prod
 from operator import mul, xor
 
@@ -159,17 +161,19 @@ class _Mod2Space:
             q += half
         return q
 
+    def bmask(self, v: int) -> int:
+        """The class whose bit i is B(e_i, v), so that B(x, v) is the parity
+        of x & bmask(v)."""
+        return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(self.brows))
+
     def b(self, x: int, v: int) -> int:
-        acc = 0
-        for i, row in enumerate(self.brows):
-            if x >> i & 1:
-                acc ^= (row & v).bit_count()
-        return acc & 1
+        return (x & self.bmask(v)).bit_count() & 1
 
     def apply_transvection(self, sigma_e: list[int], v: int) -> None:
-        for i in range(self.m):
-            if self.b(sigma_e[i], v):
-                sigma_e[i] ^= v
+        mask = self.bmask(v)
+        for i, e in enumerate(sigma_e):
+            if (e & mask).bit_count() & 1:
+                sigma_e[i] = e ^ v
 
     def is_isometry(self, sigma_e: list[int]) -> bool:
         if any(not 0 <= e < 1 << self.m for e in sigma_e):
@@ -178,47 +182,57 @@ class _Mod2Space:
             gf2_inverse(sigma_e)
         except ValueError:
             return False
-        for i in range(self.m):
-            if self.q_of(sigma_e[i]) != self.q_of(1 << i):
+        masks = [self.bmask(e) for e in sigma_e]
+        for i, (e, row) in enumerate(zip(sigma_e, self.brows)):
+            if self.q_of(e) != self.q_of(1 << i):
                 return False
             for j in range(i, self.m):
-                if self.b(sigma_e[i], sigma_e[j]) != self.b(1 << i, 1 << j):
+                if (e & masks[j]).bit_count() & 1 != row >> j & 1:
                     return False
         return True
 
 
-def _images(images: list[int], classes: list[int]) -> list[int]:
-    """The GF(2)-linear map with the given basis images, applied to each
-    class through two tables: one over the low half of the bits, one over
-    the high half (two byte tables when m = 16)."""
+def _image_tables(images: list[int]) -> tuple[list[int], list[int]]:
+    """The GF(2)-linear map with the given basis images as two tables, one
+    over the low h = ceil(m/2) bits of a class and one over the rest:
+    sigma(c) = lo[c & (2^h - 1)] ^ hi[c >> h] (two byte tables when
+    m = 16)."""
     h = (len(images) + 1) // 2
     lo, hi = [0], [0]
     for table, part in ((lo, images[:h]), (hi, images[h:])):
         for img in part:
             table += [t ^ img for t in table]
-    mask = (1 << h) - 1
-    return [lo[c & mask] ^ hi[c >> h] for c in classes]
+    return lo, hi
 
 
-def _coset_minima(L: Lattice, cutoff: int, cap: int) -> list[int]:
+def _coset_minima(L: Lattice, cutoff: int, cap: int) -> bytearray:
     """m1(c) = min norm in the coset c + 2L, capped at `cap`, for every
-    class c, from one class walk of the vectors of norm <= cutoff.
+    class c, as a byte table over the 2^m classes, from one class walk of
+    the vectors of norm <= cutoff.
 
     Classes not reached by any vector of norm <= cutoff get the cap, which
-    must satisfy cap <= cutoff + 1 so that capping never overstates a
-    minimum.  The zero class is capped too: its true minimum 4*min(L) is
-    accounted for separately by the doubled base lattice.
+    must be cutoff + 1, so that capping never overstates a minimum and no
+    reached class needs capping, and fit a byte.  The zero class is capped
+    too: its true minimum 4*min(L) is accounted for separately by the
+    doubled base lattice.
     """
-    assert cap <= cutoff + 1
+    assert cap == cutoff + 1 and cap < 256
     mins = class_minima(L, cutoff)  # walk first: the 2^m table is not live during it
-    mt = [cap] * (1 << L.dim)
+    mt = bytearray([cap]) * (1 << L.dim)
     for c, u in mins.items():
-        if c:
-            mt[c] = min(cap, u)
+        mt[c] = u
+    mt[0] = cap
     return mt
 
 
-def _bad_finder(mt: list[int], need: int):
+def _flags(table: bytes | bytearray, keep) -> array:
+    """The indices c of table whose byte b satisfies keep(b), in ascending
+    order, as an array('L'): one bytes.translate of the table to 0/1 flags
+    and one itertools.compress."""
+    return array("L", compress(range(len(table)), table.translate(bytes(map(keep, range(256))))))
+
+
+def _bad_finder(mt: bytearray, need: int):
     """The function sigma -> sorted nonzero classes c with
     m1(c) + m1(sigma c) < need, for a mod-2 isometry sigma given by its
     basis images.
@@ -227,13 +241,19 @@ def _bad_finder(mt: list[int], need: int):
     classes (2 m1(c) < need) are scored: the bad set is the low classes c
     with a bad pair together with sigma^-1 of the low classes y with one.
     """
-    low = [c for c in range(1, len(mt)) if 2 * mt[c] < need]
-    room = [need - mt[c] for c in low]  # the least m1 of a good partner
+    low = _flags(mt, lambda b: 2 * b < need)
+    if low and low[0] == 0:
+        del low[0]  # the zero class is not scored
+    # each low class c with the two halves of its m bits (see _image_tables)
+    # and the least m1 of a good partner
+    h = len(mt).bit_length() // 2
+    scored = [(c, c & ((1 << h) - 1), c >> h, need - mt[c]) for c in low]
 
     def bad(sigma_e: list[int]) -> list[int]:
-        found = {c for c, y, r in zip(low, _images(sigma_e, low), room) if mt[y] < r}
-        found.update([c for c, r in zip(_images(gf2_inverse(sigma_e), low), room)
-                      if mt[c] < r])
+        lo, hi = _image_tables(sigma_e)
+        found = {c for c, a, b, r in scored if mt[lo[a] ^ hi[b]] < r}
+        lo, hi = _image_tables(gf2_inverse(sigma_e))
+        found.update([y for _, a, b, r in scored if mt[y := lo[a] ^ hi[b]] < r])
         return sorted(found)
 
     return bad
@@ -257,8 +277,17 @@ class GlueMap:
 GLUE_RESTARTS = 6
 GLUE_MAX_STEPS = 6000
 #: the largest base dimension m the glue search takes; its tables have 2^m
-#: entries (one byte and one int each)
+#: entries of one byte each
 GLUE_MAX_DIM = 20
+#: the largest target the glue search takes: a class's key byte holds its
+#: coset minimum, capped at 2*target - 2, in 7 bits beside its norm form
+GLUE_MAX_TARGET = 64
+
+
+def _check_target(target: int) -> None:
+    if target > GLUE_MAX_TARGET:
+        raise ValueError("glue search takes a target of at most %d, not %d"
+                         % (GLUE_MAX_TARGET, target))
 
 
 def find_glue(L: Lattice, target: int | None = None, seed: int = 0) -> GlueMap | None:
@@ -269,12 +298,15 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0) -> GlueMap |
     too low is sent onto a partner y with m1(u) + m1(y) large by composing
     with t_v, v = sigma(u) xor y, whenever that v is an admissible
     transvection.  Returns None if every restart stalls.  A base of
-    dimension above GLUE_MAX_DIM is a ValueError, raised before any 2^m
-    table is built.
+    dimension above GLUE_MAX_DIM, or a target above GLUE_MAX_TARGET, is a
+    ValueError, raised before any 2^m table is built and, for a given
+    target, before any walk.
     """
     if L.dim > GLUE_MAX_DIM:
         raise ValueError("glue search takes a base of dimension at most %d, not %d"
                          % (GLUE_MAX_DIM, L.dim))
+    if target is not None:
+        _check_target(target)
     space = _Mod2Space(L)
     m, q = space.m, space.q
     mu = int(min_norm(L))
@@ -284,11 +316,12 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0) -> GlueMap |
         if tgt <= mu:
             ident = [1 << i for i in range(m)]
             return GlueMap(m, tgt, tuple(ident))  # every pair sum is >= 2mu
-        cutoff = 2 * tgt - 3
+        _check_target(tgt)
         cap = 2 * tgt - 2
-        mt = _coset_minima(L, cutoff, cap)
-        if max(x for x, qc in zip(mt, q) if qc == 0) + max(mt) < 2 * tgt:
-            continue  # no partner class is deep enough; target hopeless
+        mt = _coset_minima(L, 2 * tgt - 3, cap)
+        # one key byte per class: its coset minimum, and its norm form in bit 7
+        keys = (int.from_bytes(mt, "little") | int.from_bytes(q, "little") << 7).to_bytes(
+            len(mt), "little")
         need = 2 * tgt
         bad_classes = _bad_finder(mt, need)
         partner_lists = {}
@@ -315,8 +348,9 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0) -> GlueMap |
                 x = bad[rng.randrange(score)]
                 key = (q[x], need - mt[x])
                 if key not in partner_lists:
-                    partner_lists[key] = [y for y in range(1 << m)
-                                          if q[y] == key[0] and mt[y] >= key[1]]
+                    # the classes y with q(y) = q(x) and m1(y) >= need - m1(x)
+                    partner_lists[key] = _flags(keys, lambda b, a=key[0], r=key[1]:
+                                                b >> 7 == a and b & 127 >= r)
                 partners = partner_lists[key]
                 img_x = reduce(xor, (e for i, e in enumerate(sigma_e) if x >> i & 1), 0)
                 moved = False

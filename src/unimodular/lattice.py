@@ -24,15 +24,18 @@ the subtree repeats.  A lattice walk stops at the last norm the lattice's norm
 grid allows at or below its radius, and a class walk keeps the least norm
 of each class of L/2L: it stores each subtree's class map next to its
 histogram, relative to the parity mask by which reducing the subtree to
-its key flips the classes.
+its key flips the classes, as 64-bit words that a repeat flips with one
+big-int xor.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul, xor
 
@@ -337,20 +340,24 @@ def _as_coset(target) -> Coset:
 #: walk stores; past it the memo is dropped and the rest of the walk pushes
 #: its vectors down as usual
 MEMO_LIMIT = 1024
+#: byte order of an array('Q') of classes, for its runs read as one int
+_BYTE_ORDER = sys.byteorder
 
 
 @dataclass
 class EnumStats:
     """Work of one enumeration: nodes walked per level (empty ones are
     skipped), and the subtree memo of a count or class walk: lookups and
-    hits per level of the subtree's root, stored subtrees, and whether the
-    memo was dropped at MEMO_LIMIT.  `lookups` and `hits` are the totals."""
+    hits per level of the subtree's root, stored subtrees, whether the
+    memo was dropped at MEMO_LIMIT, and in a class walk the class entries
+    its hits merged.  `lookups` and `hits` are the totals."""
 
     nodes: list
     level_lookups: list
     level_hits: list
     stored: int = 0
     memo_off: bool = False
+    merged: int = 0
 
     @property
     def lookups(self) -> int:
@@ -361,13 +368,26 @@ class EnumStats:
         return sum(self.level_hits)
 
 
-def _pack_classes(mins: dict) -> list:
-    """A subtree's class map {class: least norm} as (norm, array of the
-    classes with that least norm) pairs: a few norms, many classes."""
-    by_norm = {}
-    for c, u in mins.items():
-        by_norm.setdefault(u, []).append(c)
-    return [(u, array("Q", cs)) for u, cs in by_norm.items()]
+def _least_norms(runs: dict) -> dict:
+    """{class: least norm} from class runs {norm: array('Q') of classes}:
+    the runs are read in descending norm order, so a class ends with its
+    least norm, one C-level pass per run; each run is dropped once read."""
+    mins = {}
+    for u in sorted(runs, reverse=True):
+        mins.update(zip(runs.pop(u), repeat(u)))
+    return mins
+
+
+def _pack_classes(runs: dict) -> tuple:
+    """A subtree's class runs as (classes, groups, count): classes is one
+    int whose 64-bit words are the runs, each without repeats, groups the
+    (norm, byte length) of each run and count the number of words."""
+    cs, groups = array("Q"), []
+    for u, run in runs.items():
+        n = len(cs)
+        cs.extend(set(run))
+        groups.append((u, 8 * (len(cs) - n)))
+    return int.from_bytes(cs, _BYTE_ORDER), groups, len(cs)
 
 
 def _slot_bits(d, lam, m, top, delta) -> int:
@@ -435,13 +455,18 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     histogram shifted by the norm above it.  In a class walk (delta = 1)
     the reduction shifts x_red[i] by its quotient k_i, which flips the
     class of every vector of the subtree by the parity mask, the xor of
-    the masks of U[i] over the odd k_i.  A class walk stores each
-    subtree's class map {class of levels <= j xor mask: least norm}, the
-    same for every subtree with the key, and a repeated subtree adds it
-    with its classes xored by the class fixed above the node and the
-    node's own mask, its norms shifted by the norm above.  Nodes on the
-    zero prefix of a symmetric walk are not memoised (their halving tests
-    the real w = 0).
+    the masks of U[i] over the odd k_i.  A class walk collects classes as
+    runs {norm: array('Q') of classes}, a class possibly in several runs:
+    a leaf adds its two classes (even and odd w_0), each with its least
+    norm.  It stores each subtree's runs (classes of levels <= j xor
+    mask), the same for every subtree with the key, as one int of 64-bit
+    words, each run without repeats, so a stored map holds a class at
+    most once per norm.  A repeated subtree flips all of them by the class
+    fixed above the node and the node's own mask in one big-int xor, and
+    adds each run to the run of its norm shifted by the norm above in one
+    C-level call.  The least norm of each class is resolved once, at the
+    end (`_least_norms`).  Nodes on the zero prefix of a symmetric walk
+    are not memoised (their halving tests the real w = 0).
     """
     coset = _as_coset(target)
     L = coset.base
@@ -514,24 +539,29 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     def level(j, X, rem, zero_pref, acc, out, wj, hi, kc, mout):
         # walks w_j = wj, wj + delta, ..., hi below the packed centres X
         # (slots 0..j), pushing each vector's scaled norm plus acc into out
-        # and, in a class walk, its class (that of levels <= j xor kc) with
-        # its least norm plus acc into mout
+        # and, in a class walk, its class (that of levels <= j xor kc) into
+        # the run of its norm plus acc in the runs mout
         nonlocal memo
         nodes[j] += 1
         c = (X >> sh[j]) - bias
         dj, mj = d[j], m[j]
         if j == 0:
             if classes:
-                k1 = kc ^ pm[0]
+                # a leaf reaches two classes, kc for even w_0 and kc ^ pm[0]
+                # for odd; each goes to the runs once, with its least norm
+                best = [None, None]
                 while wj <= hi:
                     Z = dj * wj + c
                     u = acc + mj * Z * Z
                     # a lattice walk is symmetric; x and -x share a class
                     out[u] = out.get(u, 0) + (1 if zero_pref and wj == 0 else 2)
-                    k = k1 if wj & 1 else kc
-                    if u < mout.get(k, u + 1):
-                        mout[k] = u
+                    b = best[wj & 1]
+                    if b is None or u < b:
+                        best[wj & 1] = u
                     wj += 1
+                for u, k in zip(best, (kc, kc ^ pm[0])):
+                    if u is not None:
+                        mout.setdefault(u, array("Q")).append(k)
                 return
             while wj <= hi:
                 Z = dj * wj + c
@@ -600,13 +630,18 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
                 for k, v in h.items():
                     out[k + base] = out.get(k + base, 0) + v
                 if packed:
+                    # every stored class flipped by one big-int xor, each
+                    # norm's words added to its run by one C-level call
+                    cs, groups, count = packed
+                    stats.merged += count
                     flip = kn ^ mask
-                    for v, cs in packed:
-                        v += base
-                        for k in cs:
-                            k ^= flip
-                            if v < mout.get(k, v + 1):
-                                mout[k] = v
+                    if flip:
+                        cs ^= int.from_bytes(flip.to_bytes(8, _BYTE_ORDER) * count, _BYTE_ORDER)
+                    cs = memoryview(cs.to_bytes(8 * count, _BYTE_ORDER))
+                    i = 0
+                    for v, nb in groups:
+                        mout.setdefault(v + base, array("Q")).frombytes(cs[i:i + nb])
+                        i += nb
             wj += delta
 
     # the top level's range, computed as each child's in level() with centre
@@ -619,6 +654,9 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     level(n - 1, sum(bias << t for t in sh), top, sym, 0, counts, first, hi, 0, mins)
     # level refers to itself: break the cycle so the memo goes on return
     del level
+    if classes:
+        memo = None  # free the stored class maps before the least norms are resolved
+        mins = _least_norms(mins)
     return counts, (mins if classes else vecs), M * dmul * delta * delta, stats
 
 

@@ -252,6 +252,8 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     # the dimension-9 average is solved through norm 12
     (["genus-avg", "--dim", "9", "--upto", "13"], None, 2),
     (["genus-avg", "--dim", "9", "--upto", "-3"], None, 2),
+    # the glue search's byte tables hold targets up to 64
+    (["construct", "glue", "--base", "a15+", "--target", "200"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
@@ -369,6 +371,34 @@ def test_construct_fuzz(tmp_path_factory):
         else:
             assert code == 0 or (code == 2 and "FAIL" in out), (code, out, err)
             assert err == ""
+
+    check()
+
+
+def test_bound_fuzz():
+    # `bound` on small dimensions, with and without --mu and --json: every
+    # input exits 0, or 2 with one `error:` line
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(-2, 16), st.one_of(st.none(), st.integers(-2, 6)),
+                      st.booleans())
+    def check(dim, mu, as_json):
+        argv = ["bound", "--dim", str(dim)]
+        if mu is not None:
+            argv += ["--mu", str(mu)]
+        if as_json:
+            argv.append("--json")
+        code, out, err = _run_quietly(argv)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        else:
+            assert code == 0 and out and err == "", (code, out, err)
+            if as_json:
+                json.loads(out)
 
     check()
 

@@ -1,5 +1,6 @@
 """Glue doubling and shave projections, from toy cases to the frozen data."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ from unimodular.codes import code_to_odd_lattice, golay24
 from unimodular.constructions import (
     GLUE_A15_T3,
     GLUE_D16_T4,
+    GLUE_MAX_TARGET,
     SHAVE_30,
     SHAVE_32,
     GlueMap,
     _bad_finder,
     _coset_minima,
-    _images,
+    _flags,
+    _image_tables,
     _Mod2Space,
     a15_plus_fixture,
     build_glue30,
@@ -132,6 +135,49 @@ def test_find_glue_reproduces_frozen_map():
     assert find_glue(a15_plus_fixture(), 3, seed=0).images == GLUE_A15_T3
 
 
+def test_find_glue_rejects_a_target_its_byte_tables_cannot_hold():
+    # the coset minima are capped at 2*target - 2 and kept in 7 bits of a
+    # key byte; a larger target is refused before any walk
+    L = a15_plus_fixture()
+    with pytest.raises(ValueError, match="target of at most %d, not 200" % GLUE_MAX_TARGET):
+        find_glue(L, 200)
+    with pytest.raises(ValueError, match="not %d" % (GLUE_MAX_TARGET + 1)):
+        find_glue(L, GLUE_MAX_TARGET + 1)
+    assert L._reduced is None
+    # with no target, the search descends from 2*min(L): refused before the
+    # class walk when that start is too large
+    big = Lattice([[2 * GLUE_MAX_TARGET]])
+    with pytest.raises(ValueError, match="not %d" % (4 * GLUE_MAX_TARGET)):
+        find_glue(big)
+
+
+def test_find_glue_outputs_are_pinned():
+    # the search's RNG sequence, tables and partner order, over four cases
+    # and fourteen seeds each, pinned by one digest of (target, images)
+    out = []
+    for build, target in ((a15_plus_fixture, 3), (d16_plus_fixture, 4),
+                          (a15_plus_fixture, None), (d16_plus_fixture, None)):
+        L = build()
+        for seed in range(14):
+            g = find_glue(L, target, seed=seed)
+            out.append(None if g is None else (g.target, g.images))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "4da1c6f2bb22539c690827c61391526754e865a09465f3090c0d62f248b4d6d0"
+
+
+def test_partner_flags_match_the_class_scan():
+    # a partner list is the classes y with q(y) = a and m1(y) >= r, read off
+    # one key byte per class, in ascending y
+    L = d16_plus_fixture()
+    space = _Mod2Space(L)
+    mt = _coset_minima(L, 5, 6)
+    keys = bytes(x | qc << 7 for x, qc in zip(mt, space.q))
+    for a in (0, 1):
+        for r in range(8):
+            want = [y for y in range(1 << space.m) if space.q[y] == a and mt[y] >= r]
+            assert list(_flags(keys, lambda b: b >> 7 == a and b & 127 >= r)) == want
+
+
 def _apply(images, c):
     """A GF(2)-linear map applied to one class, bit by bit."""
     out = 0
@@ -155,7 +201,10 @@ def test_gf2_inverse_round_trip():
                 assert _apply(images, inv[i]) == 1 << i
                 assert _apply(inv, images[i]) == 1 << i
             classes = [rng.randrange(1 << m) for _ in range(50)]
-            assert _images(images, classes) == [_apply(images, c) for c in classes]
+            lo, hi = _image_tables(images)
+            h = (m + 1) // 2
+            assert [lo[c & ((1 << h) - 1)] ^ hi[c >> h] for c in classes] == \
+                [_apply(images, c) for c in classes]
     with pytest.raises(ValueError):
         gf2_inverse([1, 2, 3])
 
@@ -325,6 +374,38 @@ def test_direct_norm_form_matches_table(build):
     assert "q" not in vars(space)  # the isometry check never builds the table
     assert type(space.q) is bytes and len(space.q) == 1 << space.m
     assert [space.q_of(c) for c in range(1 << space.m)] == list(space.q)
+
+
+def _b_by_rows(space, x, v):
+    """B(x, v) mod 2 as the sum of B(e_i, v) over the bits i of x."""
+    return sum((row & v).bit_count() for i, row in enumerate(space.brows) if x >> i & 1) & 1
+
+
+@pytest.mark.parametrize("build", [a15_plus_fixture, d16_plus_fixture, random_even_7,
+                                   random_odd_6])
+def test_bilinear_masks_match_the_row_loop(build):
+    # B(x, v) is the parity of x & bmask(v); is_isometry compares one mask
+    # per image with the rows of B, so it agrees with the pairwise form
+    L = build()
+    space = _Mod2Space(L)
+    m = space.m
+    rng = random.Random(m)
+    for _ in range(200):
+        x, v = rng.randrange(1 << m), rng.randrange(1 << m)
+        assert space.b(x, v) == _b_by_rows(space, x, v)
+    broken = 0
+    for _ in range(20):
+        sigma = _random_isometry(L, rng)
+        assert space.is_isometry(sigma)
+        # a random row operation keeps the map invertible and may break B or q
+        i, j = rng.sample(range(m), 2)
+        other = sigma[:i] + [sigma[i] ^ sigma[j]] + sigma[i + 1:]
+        pairwise = all(space.q_of(other[k]) == space.q_of(1 << k) for k in range(m)) and all(
+            _b_by_rows(space, other[k], other[l]) == _b_by_rows(space, 1 << k, 1 << l)
+            for k in range(m) for l in range(m))
+        assert space.is_isometry(other) == pairwise
+        broken += not pairwise
+    assert broken > 0
 
 
 @pytest.mark.parametrize("build", [a15_plus_fixture, d16_plus_fixture, build_glue30,

@@ -573,6 +573,22 @@ def test_benchmark_walks_keep_their_counters(leech_lattice):
     assert leech.level_hits[12] > 0
 
 
+def test_class_walks_keep_their_counters():
+    # the glue search's class walks (D16+ <= 5 is its walk for target 4,
+    # A15+ <= 3 for target 3) are pinned like the count walks above: nodes,
+    # lookups, hits, stored class maps, and the class entries the hits merged
+    walks = [
+        (d16_plus_fixture(), 5, (111, 259, 164, 95, 60874)),
+        (a15_plus_fixture(), 3, (129, 234, 120, 114, 5984)),
+    ]
+    for L, R, want in walks:
+        st = lattice._enum(L, R, classes=True)[3]
+        assert (sum(st.nodes), st.lookups, st.hits, st.stored, st.merged) == want
+        assert not st.memo_off
+    # a count walk merges no classes
+    assert lattice._enum(d16_plus_fixture(), 5)[3].merged == 0
+
+
 def test_find_any_skips_zero_in_shifted_coset():
     c = Coset(zn(2), [Fraction(1, 2), Fraction(0)])
     norm, x = find_any(c, 3)
