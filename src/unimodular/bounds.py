@@ -36,6 +36,7 @@ and `table1` tabulates the results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -68,6 +69,10 @@ R_LIMIT = "candidate limit exceeded"
 
 #: Per-coefficient kill rules of a complete branch, tried in this order:
 #: (reason, adjective for the detail, test that kills the coefficient).
+#: A value c/den passes all three exactly when c >= 0 and 2*den divides c:
+#: it is integral iff den | c, nonnegative iff c >= 0, and then even iff
+#: 2*den | c.  `feasibility_scan` tests that on its int window first and
+#: runs this table only on a window that fails it.
 _COEFF_RULES = (
     (R_NONINT, "", lambda c: c.denominator != 1),
     (R_NEG, "", lambda c: c < 0),
@@ -276,28 +281,41 @@ def gram_obstruction(n: int, s, k: int, mu: int) -> GramCheck:
     If T = {b}, the Gram matrix of the k vectors is (s-b)I + bJ with
     eigenvalues s-b (k-1 times) and s+(k-1)b; it must be positive
     semidefinite of rank <= n.  If T has several elements the test is
-    inconclusive.
+    inconclusive.  The test runs in quarter-ints: `_admissible` gives 4t for
+    each t in T, and 4*lam2 = 4s + (k-1)*4b decides the contradiction.
     """
     s = Fraction(s)
     if s <= 0:
         raise ValueError("shadow norm must be positive")
+    if (4 * s).denominator != 1:  # then |u+v|^2 is never an integer
+        return GramCheck(n, mu, s, k, (), False)
+    s4 = int(4 * s)
+    tset4, tset = _admissible(n, s4, mu)
+    return GramCheck(n, mu, s, k, tset, _contradiction(n, s4, tset4, k))
+
+
+def _admissible(n: int, s4: int, mu: int) -> tuple:
+    """(4t for each t in T, T as Fractions), T ascending, for shadow norm
+    s = s4/4: the part of the Gram test that (n, s, mu) fixes."""
     # q1 = |u-v|^2 is at least mu (and even for odd n); |u+v|^2 = 4s - q1 is
-    # an integer exactly when 4s is, and must be at least mu; |t| < s means
-    # 0 < q1 < 4s.  So q1 runs from mu (rounded up to even for odd n) to
-    # min(4s - mu, 4s - 1), and t = s - q1/2 = (4s - 2 q1)/4.
-    tset = []
-    if (4 * s).denominator == 1:
-        s4 = int(4 * s)
-        top = min(s4 - mu, s4 - 1)
-        q1s = range(mu + (mu % 2), top + 1, 2) if n % 2 else range(mu, top + 1)
-        tset = [Fraction(s4 - 2 * q1, 4) for q1 in reversed(q1s)]
-    contradiction = False
-    if k >= 2 and len(tset) == 1:
-        # the other eigenvalue s-b is positive since b < s; the rank is k-1
-        # plus one when lam2 > 0
-        lam2 = s + (k - 1) * tset[0]
-        contradiction = lam2 < 0 or k - 1 + (lam2 > 0) > n
-    return GramCheck(n, mu, s, k, tuple(tset), contradiction)
+    # an integer and must be at least mu; |t| < s means 0 < q1 < 4s.  So q1
+    # runs from mu (rounded up to even for odd n) to min(4s - mu, 4s - 1),
+    # and 4t = 4s - 2 q1.
+    top = min(s4 - mu, s4 - 1)
+    q1s = range(mu + (mu % 2), top + 1, 2) if n % 2 else range(mu, top + 1)
+    tset4 = tuple(s4 - 2 * q1 for q1 in reversed(q1s))
+    return tset4, tuple(Fraction(t4, 4) for t4 in tset4)
+
+
+def _contradiction(n: int, s4: int, tset4: tuple, k: int) -> bool:
+    """Whether k vectors of norm s4/4 with the one inner product tset4[0]/4
+    force an impossible Gram matrix; False unless k >= 2 and |T| = 1."""
+    if k < 2 or len(tset4) != 1:
+        return False
+    # the other eigenvalue s-b is positive since b < s; the rank is k-1 plus
+    # one when lam2 > 0
+    lam4 = s4 + (k - 1) * tset4[0]
+    return lam4 < 0 or k - 1 + (lam4 > 0) > n
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +509,14 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
     checked on that window (the shadow on `_shadow_grid`, theta at
     q^mu .. q^(mu+4)), read off the int window the resolution already
     carries, one rule at a time in severity order, so a branch reports the
-    shallowest rule that kills it.  No series is built for the check: a
-    branch builds its theta and shadow series only when they are read.
+    shallowest rule that kills it.  The check is decided in ints: one
+    C-level pass tests the three coefficient rules at once (see
+    `_COEFF_RULES`, whose loop runs only on a window that fails), the
+    count rules read the grid's prefixes below mu/4, mu/2 and (mu+2)/2,
+    and the Gram test's admissible set is computed once per scan for each
+    shadow norm below (mu+2)/2; a Fraction is made only for a kill's
+    detail.  No series is built for the check: a branch builds its theta
+    and shadow series only when they are read.
 
     A free coefficient that is neither capped nor resolved last has no
     bound, and the scan is inconclusive.  This is why (n, 1) is
@@ -527,46 +551,64 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
          for sb, tb in zip(sbasis, tbasis)])
     fixed0 = [sum(a * w[k] for a, w in zip(fit.coeffs, step) if a)
               for k in range(len(step[0]))]
+    # Everything a complete branch's check needs that depends only on the
+    # scan: the ascending grid's prefixes e < mu (norm below mu/4), e < 2mu
+    # (below mu/2) and e < 2mu + 4 (below (mu+2)/2), and the Gram test's
+    # admissible set for each shadow norm of the last prefix.
+    n_mu, n_cap, n_low = (bisect_left(grid, e) for e in (mu, 2 * mu, 2 * mu + 4))
+    gram = [(Fraction(e, 4), *_admissible(n, e, mu)) for e in grid[:n_low]]
+    den2 = 2 * den
+
+    def norm(k: int) -> str:  # shadow norm of grid entry k, for a detail
+        return rat_str(Fraction(grid[k], 4))
 
     def final_check(assignment: dict, fixed: list[int]) -> Branch:
-        # `fixed` is the branch's window over `den`; in normal form (ints
-        # where integral) it keeps the rules below in int arithmetic, and
-        # none of them divides.  Theta below q^mu needs no check: the
-        # forced part vanishes there (no prefix residual) and every free
-        # a_j has j >= mu, with delta8^j vanishing below q^j.
+        # `fixed` is the branch's window over `den`.  Theta below q^mu needs
+        # no check: the forced part vanishes there (no prefix residual) and
+        # every free a_j has j >= mu, with delta8^j vanishing below q^j.
         br = Branch(dict(assignment), FEASIBLE, fit=fit)
-        vals = [Fraction(c, den) if c % den else c // den for c in fixed]
-        svals = list(zip(grid, vals))
-        tvals = [(e // 4, c) for e, c in zip(tgrid, vals[len(grid):])]
 
         def kill(reason: str, detail: str) -> Branch:
             br.verdict, br.reason, br.detail = INFEASIBLE, reason, detail
             return br
 
-        for reason, adj, fails in _COEFF_RULES:
-            for e, c in svals:
-                if fails(c):
-                    return kill(reason, "%sshadow coefficient %s at norm %s"
-                                % (adj, rat_str(c), rat_str(Fraction(e, 4))))
-            for m, c in tvals:
-                if fails(c):
-                    return kill(reason, "%stheta coefficient %s at q^%d"
-                                % (adj, rat_str(c), m))
-        # shadow count rules
-        for e, c in svals:
-            if e < mu and c != 0:
-                return kill(R_COUNT, "shadow coefficient %s at norm %s below mu/4"
-                            % (rat_str(c), rat_str(Fraction(e, 4))))
-            if e < 2 * mu and c > 2:
-                return kill(R_COUNT, "shadow coefficient %s at norm %s exceeds 2"
-                            % (rat_str(c), rat_str(Fraction(e, 4))))
-        low = [(e, c) for e, c in svals if e < 2 * mu + 4 and c != 0]
+        if min(fixed) < 0 or any(map(den2.__rmod__, fixed)):
+            # some coefficient rule fails (see _COEFF_RULES); the table
+            # names the first one, on the values in normal form
+            vals = [Fraction(c, den) if c % den else c // den for c in fixed]
+            svals = vals[:len(grid)]
+            tvals = [(e // 4, c) for e, c in zip(tgrid, vals[len(grid):])]
+            for reason, adj, fails in _COEFF_RULES:
+                for k, c in enumerate(svals):
+                    if fails(c):
+                        return kill(reason, "%sshadow coefficient %s at norm %s"
+                                    % (adj, rat_str(c), norm(k)))
+                for m, c in tvals:
+                    if fails(c):
+                        return kill(reason, "%stheta coefficient %s at q^%d"
+                                    % (adj, rat_str(c), m))
+            raise AssertionError("no coefficient rule fails on %s" % vals)
+        # shadow count rules; every window value is now den times an even
+        # integer >= 0
+        for k in range(n_cap):
+            c = fixed[k]
+            if k < n_mu and c:
+                return kill(R_COUNT, "shadow coefficient %d at norm %s below mu/4"
+                            % (c // den, norm(k)))
+            if c > den2:
+                return kill(R_COUNT, "shadow coefficient %d at norm %s exceeds 2"
+                            % (c // den, norm(k)))
+        low = [k for k in range(n_low) if fixed[k]]
         if len(low) > 1:
-            return kill(R_COUNT, "two shadow norms below (mu+2)/2: %s and %s" % (
-                rat_str(Fraction(low[0][0], 4)), rat_str(Fraction(low[1][0], 4))))
-        # Gram-matrix rank obstruction
-        for e, c in low:
-            br.obstruction = gram_obstruction(n, Fraction(e, 4), int(c) // 2, mu)
+            return kill(R_COUNT, "two shadow norms below (mu+2)/2: %s and %s"
+                        % (norm(low[0]), norm(low[1])))
+        # Gram-matrix rank obstruction on the fixed[k] / den2 antipodal
+        # pairs of norm s
+        for k in low:
+            s, tset4, tset = gram[k]
+            pairs = fixed[k] // den2
+            br.obstruction = GramCheck(n, mu, s, pairs, tset,
+                                       _contradiction(n, grid[k], tset4, pairs))
             if br.obstruction.contradiction:
                 return kill(R_RANK, br.obstruction.detail)
         return br

@@ -285,6 +285,8 @@ GLUE_MAX_TARGET = 64
 
 
 def _check_target(target: int) -> None:
+    if target < 1:
+        raise ValueError("glue search takes a target of at least 1, not %d" % target)
     if target > GLUE_MAX_TARGET:
         raise ValueError("glue search takes a target of at most %d, not %d"
                          % (GLUE_MAX_TARGET, target))
@@ -298,9 +300,9 @@ def find_glue(L: Lattice, target: int | None = None, seed: int = 0) -> GlueMap |
     too low is sent onto a partner y with m1(u) + m1(y) large by composing
     with t_v, v = sigma(u) xor y, whenever that v is an admissible
     transvection.  Returns None if every restart stalls.  A base of
-    dimension above GLUE_MAX_DIM, or a target above GLUE_MAX_TARGET, is a
-    ValueError, raised before any 2^m table is built and, for a given
-    target, before any walk.
+    dimension above GLUE_MAX_DIM, or a target below 1 or above
+    GLUE_MAX_TARGET, is a ValueError, raised before any 2^m table is built
+    and, for a given target, before any walk.
     """
     if L.dim > GLUE_MAX_DIM:
         raise ValueError("glue search takes a base of dimension at most %d, not %d"

@@ -18,7 +18,9 @@ from unimodular.bounds import (
     R_NONINT,
     R_PREFIX,
     R_RANK,
+    _COEFF_RULES,
     _affine_bounds,
+    _shadow_grid,
     default_trunc,
     even_extremal_scan,
     feasibility_scan,
@@ -166,6 +168,35 @@ def test_gram_obstruction_tset_definition():
         assert gram_obstruction(n, Fraction(7, 6), 3, 1).tset == ()
 
 
+def _contradiction_by_definition(n, s, k, tset):
+    """k vectors of norm s with the one inner product b: the Gram matrix
+    (s-b)I + bJ has eigenvalue s-b (k-1 times) and s+(k-1)b; it is
+    impossible if one is negative or its rank (nonzero eigenvalues with
+    multiplicity) exceeds n."""
+    if k < 2 or len(tset) != 1:
+        return False
+    b = tset[0]
+    eigen = [s - b] * (k - 1) + [s + (k - 1) * b]
+    return min(eigen) < 0 or sum(1 for x in eigen if x != 0) > n
+
+
+def test_gram_obstruction_grid_against_definition():
+    # the quarter-int decision agrees with the Fraction one on the grid
+    # n 1..40, s 1/4..4, k 0..80, mu 1..6, where both outcomes occur
+    seen = set()
+    for n in range(1, 41):
+        for s in (Fraction(e, 4) for e in range(1, 17)):
+            for mu in range(1, 7):
+                tset = _tset_by_definition(n, s, mu)
+                for k in range(81):
+                    g = gram_obstruction(n, s, k, mu)
+                    assert list(g.tset) == tset, (n, s, k, mu)
+                    assert g.contradiction == _contradiction_by_definition(n, s, k, tset), (
+                        n, s, k, mu)
+                    seen.add(g.contradiction)
+    assert seen == {False, True}
+
+
 def test_gram_obstruction_even_dimension_splits_shadow_cosets():
     # Z^4's shadow (Z + 1/2)^4 is two cosets of the even sublattice, 8
     # norm-1 vectors each; each coset is its own negative, and across the
@@ -293,6 +324,37 @@ def test_scan_prefix_violation():
     assert r.verdict == INFEASIBLE and r.reason == R_PREFIX
     r = feasibility_scan(16, 3)
     assert r.verdict == INFEASIBLE and r.reason == R_NONINT
+
+
+def test_coefficient_rules_pass_exactly_on_even_nonnegative_multiples():
+    # the scan's pre-check on a window value c over den stands for "no rule
+    # of _COEFF_RULES fails on c/den"
+    for den in range(1, 13):
+        for c in range(-6 * den, 6 * den + 1):
+            passes = not any(fails(Fraction(c, den)) for _, _, fails in _COEFF_RULES)
+            assert passes == (c >= 0 and c % (2 * den) == 0), (c, den)
+
+
+def test_complete_branches_follow_the_rule_table_on_their_series():
+    # the first rule of _COEFF_RULES that fails on a complete branch's own
+    # series, over the checked window (shadow on the grid, theta at q^mu ..
+    # q^(mu+4)), is its reason; a branch no rule kills has a later reason
+    coeff_reasons = {reason for reason, _, _ in _COEFF_RULES}
+    seen = set()
+    for n, mu in ((8, 1), (8, 2), (9, 2), (11, 2), (13, 1), (13, 2), (16, 2), (17, 2),
+                  (20, 3), (24, 4), (31, 3), (33, 4), (34, 4)):
+        r = feasibility_scan(n, mu)
+        for b in (b for b in r.branches if b.fit is not None):
+            window = ([b.shadow.coeff(e) for e in _shadow_grid(n, b.fit.trunc)]
+                      + [b.theta.coeff(4 * m) for m in range(mu, mu + 5)])
+            expect = next((reason for reason, _, fails in _COEFF_RULES
+                           if any(fails(c) for c in window)), None)
+            if expect is None:
+                assert b.reason not in coeff_reasons, (n, mu, b.assignment)
+            else:
+                assert b.reason == expect, (n, mu, b.assignment)
+            seen.add(b.reason)
+    assert seen >= coeff_reasons | {None, R_RANK}
 
 
 def test_scan_feasible_witness_passes_rules():

@@ -254,6 +254,9 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["genus-avg", "--dim", "9", "--upto", "-3"], None, 2),
     # the glue search's byte tables hold targets up to 64
     (["construct", "glue", "--base", "a15+", "--target", "200"], None, 2),
+    # no doubling map has a minimum below 1
+    (["construct", "glue", "--base", "a15+", "--target", "-5"], None, 2),
+    (["construct", "glue", "--base", "a15+", "--target", "0"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:

@@ -151,6 +151,16 @@ def test_find_glue_rejects_a_target_its_byte_tables_cannot_hold():
         find_glue(big)
 
 
+def test_find_glue_rejects_a_target_below_1():
+    # every target up to min(L) returns the identity map, so 0 and -5 were
+    # "found" without a check; they are refused before any walk
+    L = a15_plus_fixture()
+    for low in (0, -5):
+        with pytest.raises(ValueError, match="target of at least 1, not %d" % low):
+            find_glue(L, low)
+    assert L._reduced is None
+
+
 def test_find_glue_outputs_are_pinned():
     # the search's RNG sequence, tables and partner order, over four cases
     # and fourteen seeds each, pinned by one digest of (target, images)
