@@ -48,7 +48,7 @@ from .qseries import (
     cusp_delta24,
     delta8,
     eisenstein_e4,
-    power_chain,
+    power_basis,
     rat_str,
     theta2,
     theta3,
@@ -97,13 +97,9 @@ def theta_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Basis delta8^j * theta3^(n-8j), j = 0..[n/8], truncated at `trunc`."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    jmax = n // 8
-    one = QSeries.one(trunc)
-    t3 = theta3(trunc)
-    # theta3^(n-8j) for j = jmax down to 0, then delta8^j for j = 0 up
-    t3pow = power_chain(t3 ** 8, t3 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
-    d8pow = power_chain(delta8(trunc), one, jmax + 1, trunc) if jmax else [one]
-    return tuple((t * d).truncate(trunc) for t, d in zip(t3pow, d8pow))
+    # below dimension 8 the basis is theta3^n alone, and delta8 is not built
+    d8 = delta8(trunc) if n >= 8 else None
+    return tuple(power_basis(theta3(trunc), n, 8, d8, n // 8 + 1, trunc))
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +107,9 @@ def shadow_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Shadow counterparts (-1/16)^j * theta4(q^2)^(8j) * theta2^(n-8j)."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    jmax = n // 8
-    t2 = theta2(trunc)
     t4q2 = theta4(trunc).subs_q2().truncate(trunc)
-    # theta2^(n-8j) for j = jmax down to 0, then theta4(q^2)^(8j) for j = 0 up
-    t2pow = power_chain(t2 ** 8, t2 ** (n - 8 * jmax), jmax + 1, trunc)[::-1]
-    t4pow = power_chain(t4q2 ** 8, QSeries.one(trunc), jmax + 1, trunc)
-    return tuple((t * w * Fraction((-1) ** j, 16 ** j)).truncate(trunc)
-                 for j, (t, w) in enumerate(zip(t2pow, t4pow)))
+    basis = power_basis(theta2(trunc), n, 8, t4q2 ** 8, n // 8 + 1, trunc)
+    return tuple(s * Fraction((-1) ** j, 16 ** j) for j, s in enumerate(basis))
 
 
 def lattice_theta(n: int, coeffs, trunc: int) -> QSeries:
@@ -724,11 +715,7 @@ def even_extremal_scan(n: int) -> EvenScan | None:
         return None
     m_count = n // 24 + 1
     trunc = 8 * (n // 24 + 6) + 1
-    e4 = eisenstein_e4(trunc)
-    d24 = cusp_delta24(trunc)
-    basis = []
-    for b in range(m_count):
-        basis.append(((e4 ** (n // 8 - 3 * b)) * (d24 ** b)).truncate(trunc))
+    basis = power_basis(eisenstein_e4(trunc), n // 8, 3, cusp_delta24(trunc), m_count, trunc)
     xmax = (trunc - 1) // 8  # largest x-power available (x = q^2)
 
     for mu in range(2 * (n // 24) + 4, 0, -2):

@@ -133,11 +133,13 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _series_cmd(args, fn, label: str) -> int:
+def _series_cmd(args) -> int:
+    """`theta` or `shadow`: the series named by the subcommand, by counting."""
     if args.max_norm < 0:
         raise CliError("--max-norm must be at least 0, got %d" % args.max_norm)
     L = _load_lattice(args.lattice)
-    series = fn(L, args.max_norm)
+    label = args.command
+    series = args.series(L, args.max_norm)
     if args.json:
         _emit({"lattice": L.name, "dim": L.dim, label: series.to_json_dict(),
                "display": str(series)})
@@ -146,14 +148,6 @@ def _series_cmd(args, fn, label: str) -> int:
                                                L.dim, args.max_norm))
     print("  " + str(series))
     return 0
-
-
-def _cmd_theta(args) -> int:
-    return _series_cmd(args, theta_by_enumeration, "theta")
-
-
-def _cmd_shadow(args) -> int:
-    return _series_cmd(args, shadow_by_enumeration, "shadow")
 
 
 def _cmd_verify(args) -> int:
@@ -182,14 +176,25 @@ def _cmd_construct_code(args) -> int:
     return 0
 
 
-def _built_line(L: Lattice) -> str:
-    """'<name>: dim n, odd unimodular' (or even), or 'not unimodular
-    (<detail>)' with check_unimodular's detail."""
+def _report_built(L: Lattice, args) -> int:
+    """The tail of `construct glue` and `construct shave`: the line
+    '<name>: dim n, odd unimodular' (or even, or 'not unimodular (<detail>)'
+    with check_unimodular's detail), the `--verify-min` check and the
+    `--out` file."""
     kind = check_unimodular(L)
     if kind in ("odd", "even"):
-        return "%s: dim %d, %s unimodular" % (L.name, L.dim, kind)
-    detail = kind[len("not-unimodular("):-1]
-    return "%s: dim %d, not unimodular (%s)" % (L.name, L.dim, detail)
+        print("%s: dim %d, %s unimodular" % (L.name, L.dim, kind))
+    else:
+        print("%s: dim %d, not unimodular (%s)"
+              % (L.name, L.dim, kind[len("not-unimodular("):-1]))
+    if args.verify_min is not None:
+        ok = verify_min_norm(L, args.verify_min)
+        print("minimal norm %s: %s" % (args.verify_min, "verified" if ok else "FAIL"))
+        if not ok:
+            return 2
+    if args.out:
+        _write_lattice(L, args.out)
+    return 0
 
 
 def _cmd_construct_glue(args) -> int:
@@ -205,31 +210,13 @@ def _cmd_construct_glue(args) -> int:
             return 1
         print("found doubling map at target %d: images %s"
               % (glue.target, ",".join(str(x) for x in glue.images)))
-    L = constructions.glue_double(base, glue)
-    print(_built_line(L))
-    if args.verify_min is not None:
-        ok = verify_min_norm(L, args.verify_min)
-        print("minimal norm %s: %s" % (args.verify_min, "verified" if ok else "FAIL"))
-        if not ok:
-            return 2
-    if args.out:
-        _write_lattice(L, args.out)
-    return 0
+    return _report_built(constructions.glue_double(base, glue), args)
 
 
 def _cmd_construct_shave(args) -> int:
     L = _load_lattice(args.lattice)
     v = [int(x) for x in args.vector.split(",")]
-    M = constructions.project_shave(L, v)
-    print(_built_line(M))
-    if args.verify_min is not None:
-        ok = verify_min_norm(M, args.verify_min)
-        print("minimal norm %s: %s" % (args.verify_min, "verified" if ok else "FAIL"))
-        if not ok:
-            return 2
-    if args.out:
-        _write_lattice(M, args.out)
-    return 0
+    return _report_built(constructions.project_shave(L, v), args)
 
 
 def _cmd_code_info(args) -> int:
@@ -320,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_table1)
 
-    for name, fn in (("theta", _cmd_theta), ("shadow", _cmd_shadow)):
+    for name, series in (("theta", theta_by_enumeration), ("shadow", shadow_by_enumeration)):
         q = sub.add_parser(name, help="%s series by exact enumeration" % name)
         q.add_argument("--lattice", required=True)
         q.add_argument("--max-norm", type=int, required=True)
         q.add_argument("--json", action="store_true")
-        q.set_defaults(fn=fn)
+        q.set_defaults(fn=_series_cmd, series=series)
 
     q = sub.add_parser("verify", help="check unimodularity and minimal norm")
     q.add_argument("--lattice", required=True)

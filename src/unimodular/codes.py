@@ -175,8 +175,8 @@ def code_to_odd_lattice(code: BinaryCode) -> Lattice:
     code it is the even Leech lattice.
     """
     n = code.n
-    if n % 8:
-        raise ValueError("code length must be a multiple of 8")
+    if n < 8 or n % 8:
+        raise ValueError("code length must be a positive multiple of 8, not %d" % n)
     if not code.is_self_dual():
         raise ValueError("code must be self-dual")
     if not code.is_doubly_even():

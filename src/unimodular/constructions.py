@@ -241,9 +241,9 @@ def _bad_finder(mt: bytearray, need: int):
     classes (2 m1(c) < need) are scored: the bad set is the low classes c
     with a bad pair together with sigma^-1 of the low classes y with one.
     """
+    # the zero class is never low: its byte is the cap 2*target - 2, and
+    # target >= 2 wherever a table is scored
     low = _flags(mt, lambda b: 2 * b < need)
-    if low and low[0] == 0:
-        del low[0]  # the zero class is not scored
     # each low class c with the two halves of its m bits (see _image_tables)
     # and the least m1 of a good partner
     h = len(mt).bit_length() // 2
@@ -386,8 +386,9 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     doubled base rows 2e_i have norm 2 G_ii and the glue rows (e_i, sigma
     e_i) have norm (G_ii + |sigma e_i|^2)/2.
 
-    Everything runs on ints: the HNF basis B = [B_l | B_r] of those rows,
-    the integer Gram G and the cleared generators `L.int_gens` = (dG, Gi).
+    Everything runs on ints: the HNF basis B = [B_l | B_r] of the glue
+    rows and the rows (0, 2e_j), which span the doubled base too, the
+    integer Gram G and the cleared generators `L.int_gens` = (dG, Gi).
     The Gram is (B_l G B_l^T + B_r G B_r^T) / 2 and the generators are
     [B_l Gi | B_r Gi] / dG, handed to `Lattice.from_ints`, which brings
     the Gram to lowest terms: over 1 when every entry of the sum is even,
@@ -400,21 +401,11 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     space = _Mod2Space(L)
     if not space.is_isometry(images):
         raise ValueError("glue map must be a mod-2 isometry preserving norms")
-    rows = []
-    for i in range(m):
-        r = [0] * (2 * m)
-        r[i] = 2
-        rows.append(r)
-        r = [0] * (2 * m)
-        r[m + i] = 2
-        rows.append(r)
-    for i in range(m):
-        r = [0] * (2 * m)
-        r[i] = 1
-        for j in range(m):
-            if images[i] >> j & 1:
-                r[m + j] = 1
-        rows.append(r)
+    # (2e_i, 0) = 2(e_i, sigma e_i) - (0, 2 sigma e_i): these 2m rows span
+    # the doubled base as well as the glue classes
+    rows = [[int(i == k) for k in range(m)] + [img >> j & 1 for j in range(m)]
+            for i, img in enumerate(images)]
+    rows += [[0] * m + [2 * (j == k) for k in range(m)] for j in range(m)]
     basis = hnf_rows(rows)
     assert len(basis) == 2 * m
     # the index of the doubled base: the HNF of a full-rank square matrix
@@ -443,9 +434,10 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
 
     The image pi(x) = x - (x.v/4) v is a unimodular lattice of dimension
     dim(L) - 1; norms drop by (x.v)^2/4, so the minimal norm loses at most
-    1.  L must be integral (ValueError otherwise), so that x.v is an
-    integer.  Coordinates of the result are still rational combinations of
-    the basis of L, and the Gram matrix is computed with the metric of L.
+    1.  L must be integral and v's coordinates integers (ValueError
+    otherwise), so that x.v is an integer.  Coordinates of the result are
+    still rational combinations of the basis of L, and the Gram matrix is
+    computed with the metric of L.
 
     The kernel rows k of x.v mod 2 are scaled by 4 to the integer rows
     4k - (k.Gv) v, whose HNF H is 4 times the HNF of the projected rows
@@ -453,7 +445,11 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
     `sublattice` H / 4 of L.
     """
     n = L.dim
-    v = [int(x) for x in v]
+    w = list(v)
+    v = [int(x) for x in w]
+    if v != w:
+        raise ValueError("shave vector must have integer coordinates, got %s"
+                         % ", ".join(map(str, w)))
     if len(v) != n:
         raise ValueError("expected %d coordinates" % n)
     g = _int_gram(L)

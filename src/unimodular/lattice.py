@@ -40,6 +40,7 @@ from math import gcd, isqrt, lcm
 from operator import mul, xor
 
 from .linalg import (
+    as_fraction,
     clear_denominators,
     det_bareiss,
     gf2_inverse,
@@ -67,19 +68,16 @@ class Lattice:
     `int_gram` and `int_gens`; `gram` and `gens` are Fraction views built
     on first read (serialization and error text read them).
 
-    `Lattice(gram, gens)` takes rational matrices, clears them once and
-    keeps the matrices it was given as its views; `Lattice.from_ints`
-    takes the integer forms directly.  Both run the same checks.
+    `Lattice(gram, gens)` takes matrices of ints and Fractions and clears
+    them once; `Lattice.from_ints` takes the integer forms directly.  Both
+    set the forms through `_set_forms`, which runs the checks.  A float
+    entry or scale_sq is a TypeError.
     """
 
     def __init__(self, gram, gens=None, scale_sq=1, name=""):
-        gram = mat_frac(gram)
-        gens = None if gens is None else mat_frac(gens)
-        self._set_forms(clear_denominators(gram),
-                        None if gens is None else clear_denominators(gens), scale_sq, name)
-        # the cleared forms are in lowest terms already: these are the views
-        self.__dict__["gram"] = gram
-        self.__dict__["gens"] = gens
+        self._set_forms(clear_denominators(mat_frac(gram)),
+                        None if gens is None else clear_denominators(mat_frac(gens)),
+                        scale_sq, name)
 
     @classmethod
     def from_ints(cls, int_gram, int_gens=None, scale_sq=1, name="") -> "Lattice":
@@ -102,7 +100,7 @@ class Lattice:
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if gi[i][j] != gi[j][i])
             raise ValueError(f"gram matrix not symmetric at ({i},{j})")
         self.int_gram = int_gram
-        self.scale_sq = Fraction(scale_sq)
+        self.scale_sq = as_fraction(scale_sq)
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
         if int_gens is not None:
@@ -177,11 +175,12 @@ def _lowest_terms(den: int, m) -> tuple[int, list[list[int]]]:
 
 
 class Coset:
-    """Translate base + offset; offset in base-basis coordinates."""
+    """Translate base + offset; offset in base-basis coordinates, ints and
+    Fractions (a float is a TypeError)."""
 
     def __init__(self, base: Lattice, offset):
         self.base = base
-        self.offset = [Fraction(x) for x in offset]
+        self.offset = [as_fraction(x) for x in offset]
         if len(self.offset) != base.dim:
             raise ValueError("offset length must equal the base dimension")
 

@@ -21,8 +21,19 @@ def mat_copy(m):
     return [list(row) for row in m]
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction, for an int or a Fraction; anything else, a float
+    included (its binary value is not the rational it was written as), is a
+    TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError("%r is not an int or a Fraction" % (x,))
+
+
 def mat_frac(m) -> list[list[Fraction]]:
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
+    return [[as_fraction(x) for x in row] for row in m]
 
 
 def transpose(m):

@@ -336,6 +336,16 @@ def power_chain(base: QSeries, first: QSeries, count: int, trunc: int) -> list[Q
     return out
 
 
+def power_basis(a: QSeries, top: int, step: int, b: QSeries | None, count: int,
+                trunc: int) -> list[QSeries]:
+    """[a^(top - step*j) * b^j for j = 0 .. count-1], each truncated at
+    `trunc`: two power chains and one product per term.  b is not read
+    when count is 1."""
+    apow = power_chain(a ** step, a ** (top - step * (count - 1)), count, trunc)[::-1]
+    bpow = power_chain(b, QSeries.one(trunc), count, trunc)
+    return [(x * y).truncate(trunc) for x, y in zip(apow, bpow)]
+
+
 # -- classical series --------------------------------------------------------
 #
 # All constructors take the truncation in quarters and build integer
@@ -375,13 +385,10 @@ def theta3(trunc: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def theta4(trunc: int) -> QSeries:
-    """theta4(q) = 1 - 2q + 2q^4 - 2q^9 + ... (alternating m^2)."""
-    terms = {0: 1}
-    m = 1
-    while 4 * m * m < trunc:
-        terms[4 * m * m] = 2 if m % 2 == 0 else -2
-        m += 1
-    return QSeries(terms, trunc)
+    """theta4(q) = theta3(-q) = 1 - 2q + 2q^4 - 2q^9 + ... (alternating m^2)."""
+    # q^(m^2) sits at 4m^2 quarters, and m^2 has the parity of m
+    return QSeries._make({e: -c if e // 4 & 1 else c for e, c in theta3(trunc).terms.items()},
+                         trunc)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from unimodular.bounds import (
     INCONCLUSIVE,
     INFEASIBLE,
     KNOWN_MINIMA,
+    R_COUNT,
     R_NEG,
     R_NONINT,
     R_PREFIX,
@@ -355,6 +356,39 @@ def test_complete_branches_follow_the_rule_table_on_their_series():
                 assert b.reason == expect, (n, mu, b.assignment)
             seen.add(b.reason)
     assert seen >= coeff_reasons | {None, R_RANK}
+
+
+def test_complete_branches_follow_the_count_rules_on_their_shadow():
+    # a complete branch whose window passes the coefficient rules dies by
+    # the first count rule its own shadow series breaks: a nonzero
+    # coefficient below norm mu/4, a coefficient above 2 below mu/2, or two
+    # nonzero norms below (mu+2)/2; a branch none breaks is feasible or
+    # dies by the rank obstruction.  (53, 5) is the first scan that reaches
+    # the two-norms rule.
+    seen = set()
+    for n, mu in ((17, 2), (26, 3), (33, 4), (34, 3), (53, 5)):
+        r = feasibility_scan(n, mu)
+        for b in (b for b in r.branches if b.fit is not None):
+            window = ([b.shadow.coeff(e) for e in _shadow_grid(n, b.fit.trunc)]
+                      + [b.theta.coeff(4 * m) for m in range(mu, mu + 5)])
+            if any(fails(c) for _, _, fails in _COEFF_RULES for c in window):
+                continue
+            shadow = {Fraction(e, 4): c for e, c in b.shadow.items()}
+            low = [s for s in shadow if s < Fraction(mu + 2, 2)]
+            if any(s < Fraction(mu, 4) for s in shadow):
+                expect = "below mu/4"
+            elif any(s < Fraction(mu, 2) and c > 2 for s, c in shadow.items()):
+                expect = "exceeds 2"
+            elif len(low) > 1:
+                expect = "two shadow norms below (mu+2)/2"
+            else:
+                expect = None
+            if expect is None:
+                assert b.reason in (None, R_RANK), (n, mu, b.assignment)
+            else:
+                assert b.reason == R_COUNT and expect in b.detail, (n, mu, b.assignment)
+            seen.add(expect)
+    assert seen >= {"below mu/4", "two shadow norms below (mu+2)/2", None}
 
 
 def test_scan_feasible_witness_passes_rules():

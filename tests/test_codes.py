@@ -88,6 +88,8 @@ def test_code_from_lines_round_trip():
 def test_code_to_odd_lattice_guards():
     with pytest.raises(ValueError):
         code_to_odd_lattice(BinaryCode(4, [0b1111]))  # length not 0 mod 8
+    with pytest.raises(ValueError):
+        code_to_odd_lattice(BinaryCode(0, []))  # length 0 passes n % 8
     # self-dual but not doubly even: C = {00,11}^4 over length 8
     c = BinaryCode(8, [0b11, 0b1100, 0b110000, 0b11000000])
     assert c.is_self_dual() and not c.is_doubly_even()

@@ -479,6 +479,16 @@ def test_project_shave_guards():
         project_shave(half, (1, 0))  # x.v is not an integer
 
 
+def test_project_shave_rejects_non_integral_coordinates():
+    # int() once truncated both to (2, 0, 0, 0), a valid shave vector of Z4
+    for v in ((Fraction(5, 2), 0, 0, 0), (2.7, 0, 0, 0)):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            project_shave(zn(4), v)
+    # an integral Fraction is an integer coordinate
+    assert (project_shave(zn(4), (Fraction(2), 0, 0, 0)).int_gram
+            == project_shave(zn(4), (2, 0, 0, 0)).int_gram)
+
+
 def test_find_shave_vector_on_z4():
     v = find_shave_vector(zn(4), 1)
     assert v is not None and zn(4).norm_of(v) == 4

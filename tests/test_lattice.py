@@ -783,6 +783,22 @@ def test_lattice_constructor_guards():
         Lattice([])  # dimension 0
 
 
+def test_floats_are_rejected():
+    # Fraction(0.1) is 3602879701896397 / 2^55, not 1/10: where an exact
+    # rational is meant a float is a TypeError, as it is for QSeries
+    with pytest.raises(TypeError):
+        Lattice([[0.1]])
+    with pytest.raises(TypeError):
+        Lattice([[1, 0], [0, 1]], gens=[[1.0, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        Lattice([[1]], scale_sq=0.5)
+    with pytest.raises(TypeError):
+        Lattice.from_ints((1, [[1]]), scale_sq=0.5)
+    with pytest.raises(TypeError):
+        Coset(zn(2), [0.5, 0])
+    assert Lattice([[Fraction(1, 10)]]).int_gram == (10, [[1]])
+
+
 def test_json_round_trip():
     for L in (zn(3), e8_lattice(), _random_skewed_lattice(random.Random(2), 3)):
         M = lattice_from_json_dict(lattice_to_json_dict(L))
