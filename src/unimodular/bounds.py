@@ -49,6 +49,7 @@ from .qseries import (
     delta8,
     eisenstein_e4,
     power_basis,
+    power_chain,
     rat_str,
     theta2,
     theta3,
@@ -97,9 +98,11 @@ def theta_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Basis delta8^j * theta3^(n-8j), j = 0..[n/8], truncated at `trunc`."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    # below dimension 8 the basis is theta3^n alone, and delta8 is not built
+    # delta8 is dense, so its powers are a product chain; below dimension 8
+    # the basis is theta3^n alone, and delta8 is not built
     d8 = delta8(trunc) if n >= 8 else None
-    return tuple(power_basis(theta3(trunc), n, 8, d8, n // 8 + 1, trunc))
+    d8pows = power_chain(d8, QSeries.one(trunc), n // 8 + 1, trunc)
+    return tuple(power_basis(theta3(trunc), n, 8, d8pows, trunc))
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +110,10 @@ def shadow_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
     """Shadow counterparts (-1/16)^j * theta4(q^2)^(8j) * theta2^(n-8j)."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    # theta4(q^2) is sparse, so each of its powers is taken directly
     t4q2 = theta4(trunc).subs_q2().truncate(trunc)
-    basis = power_basis(theta2(trunc), n, 8, t4q2 ** 8, n // 8 + 1, trunc)
+    t4pows = [t4q2 ** (8 * j) for j in range(n // 8 + 1)]
+    basis = power_basis(theta2(trunc), n, 8, t4pows, trunc)
     return tuple(s * Fraction((-1) ** j, 16 ** j) for j, s in enumerate(basis))
 
 
@@ -141,16 +146,20 @@ def back_substitute(basis, targets, step: int):
     overdetermined checks, and residual lists (m, fitted - target) for each
     one the fit misses.
     """
-    coeffs: list[Fraction] = []
+    last = len(targets) - 1
+    if any(b.trunc <= step * last for b in basis[:last]):
+        raise ValueError("basis truncated below exponent %d/4" % (step * last))
+    # the sums run on the stored coefficients, ints for an integral basis
+    coeffs = []
     residual = []
     for m, target in enumerate(targets):
-        acc = sum((a * b.coeff(step * m) for a, b in zip(coeffs, basis)),
-                  Fraction(0))
+        e = step * m
+        acc = sum(a * b.terms.get(e, 0) for a, b in zip(coeffs, basis) if a)
         if m < len(basis):
             coeffs.append(target - acc)
         elif acc != target:
-            residual.append((m, acc - target))
-    return coeffs, residual
+            residual.append((m, Fraction(acc - target)))
+    return [Fraction(a) for a in coeffs], residual
 
 
 @dataclass
@@ -322,14 +331,21 @@ class Branch:
     `lattice_theta` / `shadow_theta`, are derived from the fit and the
     assignment, each built once, on first read.  A branch cut off while
     the free coefficients were resolved has no fit, coefficients or series.
+    A rank kill's `detail` is its obstruction's, formatted when read.
     """
 
     assignment: dict
     verdict: str
     reason: str | None = None
-    detail: str | None = None
+    _detail: str | None = None
     obstruction: GramCheck | None = None
     fit: ThetaFit | None = None
+
+    @property
+    def detail(self) -> str | None:
+        if self.reason == R_RANK:
+            return self.obstruction.detail
+        return self._detail
 
     @cached_property
     def coeffs(self) -> list | None:
@@ -559,8 +575,8 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
         # every free a_j has j >= mu, with delta8^j vanishing below q^j.
         br = Branch(dict(assignment), FEASIBLE, fit=fit)
 
-        def kill(reason: str, detail: str) -> Branch:
-            br.verdict, br.reason, br.detail = INFEASIBLE, reason, detail
+        def kill(reason: str, detail: str | None = None) -> Branch:
+            br.verdict, br.reason, br._detail = INFEASIBLE, reason, detail
             return br
 
         if min(fixed) < 0 or any(map(den2.__rmod__, fixed)):
@@ -601,7 +617,7 @@ def feasibility_scan(n: int, mu: int) -> FeasibilityReport:
             br.obstruction = GramCheck(n, mu, s, pairs, tset,
                                        _contradiction(n, grid[k], tset4, pairs))
             if br.obstruction.contradiction:
-                return kill(R_RANK, br.obstruction.detail)
+                return kill(R_RANK)
         return br
 
     overflow: list[tuple[str, str]] = []  # (reason, detail)
@@ -715,7 +731,8 @@ def even_extremal_scan(n: int) -> EvenScan | None:
         return None
     m_count = n // 24 + 1
     trunc = 8 * (n // 24 + 6) + 1
-    basis = power_basis(eisenstein_e4(trunc), n // 8, 3, cusp_delta24(trunc), m_count, trunc)
+    d24pows = power_chain(cusp_delta24(trunc), QSeries.one(trunc), m_count, trunc)
+    basis = power_basis(eisenstein_e4(trunc), n // 8, 3, d24pows, trunc)
     xmax = (trunc - 1) // 8  # largest x-power available (x = q^2)
 
     for mu in range(2 * (n // 24) + 4, 0, -2):

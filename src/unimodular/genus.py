@@ -22,7 +22,8 @@ classes of minimal norm >= 3 is at least 2 M_0.
 
 The c_j come from an integer linear system (the basis series are
 integral), solved by the fraction-free `linalg.gauss_solve`.  One power
-chain theta3^n g2^j, j = 0..[n/4], one product apart, is the whole basis:
+chain theta3^n g2^j, j = 0..[n/4], one product apart, is the whole basis
+(theta3^n itself is one pass of the power recurrence, no product):
 the alpha rows are read off it, and since g2 + h2 = 1 the average is
 theta3^n sum_k e_k g2^k with e_k = c_k + (-1)^k sum_{j>=k} C(j,k) c_j,
 one combination of the same chain.  No power of h2 is built.
@@ -70,7 +71,8 @@ def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
     solving; they must hold automatically.
 
     The rows and the average both read the chain theta3^n g2^j (m
-    products after theta3^n); h2^j = (1 - g2)^j is folded into exact
+    products after theta3^n, which the power recurrence builds without
+    a product); h2^j = (1 - g2)^j is folded into exact
     coefficients of g2^k, so no h2 series and no final product is built.
     """
     if n <= 4:

@@ -19,13 +19,22 @@ the cleared form, so a cached basis series is not cleared again by every
 product and combination it enters.  There is no floating point: a float
 coefficient, exponent or truncation is a TypeError, and `QSeries.coeff`
 returns a Fraction, so dividing what it returns stays exact.
+
+A power f^k is not built from products.  It is one pass of J.C.P.
+Miller's recurrence over f's nonzero terms per coefficient, on f's own
+exponent grid, in ints with exact divisions.  That costs O(T * #terms)
+for T coefficients, so the sparse theta2, theta3 and theta4(q^2), with
+about sqrt(T) terms each, are raised to any power without a dense
+product.  A dense series such as delta8 is raised along a product chain
+instead (`power_chain`), one product per power, where a basis needs all
+its powers anyway.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import index
 
 from .linalg import clear_denominators
@@ -214,18 +223,41 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k in one sparse pass, by J.C.P. Miller's recurrence
+        (Knuth, TAOCP vol. 2, 4.7), known as far as k - 1 products would
+        know it: up to trunc + (k-1)*valuation.
+
+        Write self = q^e0 * F(q^g), g the gcd of the exponent gaps, with F
+        cleared to integer numerators A_i over den.  Then G = F^k satisfies
+        G_0 = A_0^k and j*A_0*G_j = sum_{i>=1} ((k+1)*i - j) * A_i * G_(j-i),
+        which costs one pass over F's nonzero terms per coefficient of G.
+        Every G_j is an integer, so each division is exact, and the result
+        is divided once by den^k."""
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = QSeries.one(self.trunc)
-        base = self
-        # binary powering; truncation propagates through each product
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if k == 0:
+            return QSeries.one(self.trunc)
+        e0 = self.valuation()
+        t = self.trunc + (k - 1) * e0
+        if not self.terms:
+            return QSeries._make({}, t)
+        den, nums = self._cleared()
+        # a monomial has no gaps; g = trunc - e0 leaves G_0 alone below trunc
+        g = gcd(*(e - e0 for e, _ in nums)) or self.trunc - e0
+        (_, a0), *rest = nums
+        tail = [((e - e0) // g, c) for e, c in rest]  # (i, A_i), i ascending
+        out = [a0 ** k]
+        for j in range(1, -(-(self.trunc - e0) // g)):  # while e0 + g*j < trunc
+            acc = 0
+            for i, c in tail:
+                if i > j:
+                    break
+                acc += ((k + 1) * i - j) * c * out[j - i]
+            q, r = divmod(acc, j * a0)
+            assert not r, "inexact step %d in the power recurrence" % j
+            out.append(q)
+        return QSeries._make(
+            _over(((k * e0 + g * j, c) for j, c in enumerate(out)), den ** k), t)
 
     def truncate(self, t: int) -> "QSeries":
         """Forget coefficients at exponents >= t (cannot extend knowledge).
@@ -336,14 +368,11 @@ def power_chain(base: QSeries, first: QSeries, count: int, trunc: int) -> list[Q
     return out
 
 
-def power_basis(a: QSeries, top: int, step: int, b: QSeries | None, count: int,
-                trunc: int) -> list[QSeries]:
-    """[a^(top - step*j) * b^j for j = 0 .. count-1], each truncated at
-    `trunc`: two power chains and one product per term.  b is not read
-    when count is 1."""
-    apow = power_chain(a ** step, a ** (top - step * (count - 1)), count, trunc)[::-1]
-    bpow = power_chain(b, QSeries.one(trunc), count, trunc)
-    return [(x * y).truncate(trunc) for x, y in zip(apow, bpow)]
+def power_basis(a: QSeries, top: int, step: int, bpowers, trunc: int) -> list[QSeries]:
+    """[a^(top - step*j) * bpowers[j] for each j], each truncated at `trunc`:
+    each power of a taken directly by `QSeries.__pow__` and one product per
+    term.  The caller builds bpowers, b^j for the basis's second factor b."""
+    return [(a ** (top - step * j) * b).truncate(trunc) for j, b in enumerate(bpowers)]
 
 
 # -- classical series --------------------------------------------------------

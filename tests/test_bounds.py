@@ -20,8 +20,10 @@ from unimodular.bounds import (
     R_PREFIX,
     R_RANK,
     _COEFF_RULES,
+    GramCheck,
     _affine_bounds,
     _shadow_grid,
+    back_substitute,
     default_trunc,
     even_extremal_scan,
     feasibility_scan,
@@ -36,7 +38,7 @@ from unimodular.bounds import (
     theta_basis,
 )
 from unimodular.lattice import enumerate_short, shadow_cosets, theta_by_enumeration, zn
-from unimodular.qseries import delta8, theta2, theta3, theta4
+from unimodular.qseries import QSeries, delta8, theta2, theta3, theta4
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +68,81 @@ def test_bases_equal_direct_powers():
             assert sb[j] == direct.truncate(t), (n, j)
 
 
+def _binary_pow(a, k):
+    """a^k by binary squaring, every step a series product."""
+    result, base = QSeries.one(a.trunc), a
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _chain_basis(a, top, step, b, count, trunc):
+    """[a^(top - step*j) * b^j] from products alone: a^step and b are
+    multiplied in one at a time along two chains."""
+    apows = [_binary_pow(a, top - step * (count - 1)).truncate(trunc)]
+    astep = _binary_pow(a, step)
+    bpows = [QSeries.one(trunc)]
+    for _ in range(count - 1):
+        apows.append((apows[-1] * astep).truncate(trunc))
+        bpows.append((bpows[-1] * b).truncate(trunc))
+    return tuple((x * y).truncate(trunc) for x, y in zip(reversed(apows), bpows))
+
+
+def test_bases_equal_the_product_chain_construction():
+    # the bases take theta3, theta2 and theta4(q^2) to powers by the
+    # recurrence; the oracle builds them from products only
+    for n in range(1, 49):
+        count = n // 8 + 1
+        for t in (default_trunc(n, count + 2), n + 33):
+            d8 = delta8(t) if n >= 8 else None
+            assert theta_basis(n, t) == _chain_basis(theta3(t), n, 8, d8, count, t), (n, t)
+            t4q2_8 = _binary_pow(theta4(t).subs_q2().truncate(t), 8)
+            chain = _chain_basis(theta2(t), n, 8, t4q2_8, count, t)
+            signed = tuple(s * Fraction((-1) ** j, 16 ** j) for j, s in enumerate(chain))
+            assert shadow_basis(n, t) == signed, (n, t)
+
+
 def test_shadow_basis_leading_exponents():
     n = 17
     basis = shadow_basis(n, default_trunc(n, 4))
     for j, b in enumerate(basis):
         assert b.valuation() == n - 8 * j
+
+
+def _fraction_back_substitute(basis, targets, step):
+    """The unitriangular fit in Fractions, read through `coeff`."""
+    coeffs, residual = [], []
+    for m, target in enumerate(targets):
+        acc = sum((a * b.coeff(step * m) for a, b in zip(coeffs, basis)), Fraction(0))
+        if m < len(basis):
+            coeffs.append(target - acc)
+        elif acc != target:
+            residual.append((m, acc - target))
+    return coeffs, residual
+
+
+def test_back_substitute_matches_the_fraction_fit():
+    targets = [[1], [1, 0, 0], [1, 0, 0, 0, 0, 0], [Fraction(1, 3), 5, -2, 7],
+               [Fraction(2), Fraction(-7, 4), 0, Fraction(3)]]
+    for n in (1, 9, 24, 33, 40):
+        basis = theta_basis(n, default_trunc(n, 6))
+        for tg in targets:
+            got = back_substitute(basis, tg, 4)
+            assert got == _fraction_back_substitute(basis, tg, 4), (n, tg)
+            coeffs, residual = got
+            assert all(type(a) is Fraction for a in coeffs)
+            assert all(type(r) is Fraction for _, r in residual)
+    # an exponent past a basis truncation is an error, as `coeff` makes it
+    short = theta_basis(9, 9)
+    with pytest.raises(ValueError):
+        back_substitute(short, [1, 0, 0, 0], 4)
+    with pytest.raises(ValueError):
+        _fraction_back_substitute(short, [1, 0, 0, 0], 4)
+    assert back_substitute(short, [1, 0, 0], 4) == _fraction_back_substitute(short, [1, 0, 0], 4)
 
 
 def test_solve_prefix_forced_values():
@@ -233,6 +305,25 @@ def test_gram_obstruction_formats_its_detail_on_read(monkeypatch):
     assert "55 vectors of norm 9/4" in gram_obstruction(33, Fraction(9, 4), 55, 4).detail
     g.k = 1
     assert g.detail == "fewer than two vectors, nothing to compare"
+
+
+def test_rank_kill_details_are_formatted_when_read(monkeypatch):
+    reads = []
+    detail = GramCheck.detail
+    monkeypatch.setattr(GramCheck, "detail",
+                        property(lambda g: reads.append(g) or detail.fget(g)))
+    report = feasibility_scan(40, 4)
+    ranks = [b for b in report.branches if b.reason == R_RANK]
+    assert report.verdict == FEASIBLE and len(ranks) == 128 and reads == []
+    assert ranks[0].detail == ("41 vectors of norm 2 with pairwise inner product 0 "
+                               "span rank 41 > dimension 40")
+    assert all(b.detail == b.obstruction.detail for b in ranks)
+    # an infeasible report reads its deepest kill's detail once
+    reads.clear()
+    report = feasibility_scan(33, 4)
+    assert report.reason == R_RANK and len(reads) == 1
+    assert report.detail == ("55 vectors of norm 9/4 with pairwise inner product 1/4 "
+                             "span rank 55 > dimension 33")
 
 
 def test_scan_zn_passes_at_norm_1():

@@ -94,7 +94,8 @@ def test_average_matches_basis_reconstruction():
 
 @pytest.mark.parametrize("n", [5, 9, 33, 40])
 def test_solve_makes_one_product_per_power(monkeypatch, n):
-    # theta3^n by binary powering, then one product per power of g2
+    # theta3^n by the power recurrence, which makes no product, then one
+    # product per power of g2
     m = n // 4
     trunc = 16 * (m + 1) + 1
     g2(trunc), theta3(trunc)
@@ -107,7 +108,34 @@ def test_solve_makes_one_product_per_power(monkeypatch, n):
 
     monkeypatch.setattr(QSeries, "__mul__", counting)
     solve_cj(n)
-    assert len(calls) == m + (n.bit_length() - 1) + bin(n).count("1")
+    assert len(calls) == m
+
+
+def _binary_pow(a, k):
+    """a^k by binary squaring, every step a series product."""
+    result, base = QSeries.one(a.trunc), a
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def test_solve_matches_the_product_chain_construction(monkeypatch):
+    # solve_cj takes theta3^n by the power recurrence; with powers taken by
+    # products instead, every coefficient and series is the same
+    def solve_all():
+        out = {}
+        for n in range(5, 49):
+            avg = solve_cj(n)
+            out[n] = (avg.c, avg.series.terms, avg.series.trunc)
+        return out
+
+    got = solve_all()
+    monkeypatch.setattr(QSeries, "__pow__", _binary_pow)
+    assert solve_all() == got
 
 
 def test_g2_builds_no_h2():

@@ -197,8 +197,56 @@ def test_pow_matches_repeated_product():
         a = _random_series(rng, 20, unit=True)
         p = a ** 5
         q = a * a * a * a * a
-        assert p.agrees_with(q, upto=min(p.trunc, q.trunc))
+        assert p.terms == q.terms and p.trunc == q.trunc
         assert a ** 0 == QSeries.one(20)
+
+
+def _repeated_product(a, k):
+    """a^k as k - 1 products of a, or the unit series for k = 0."""
+    out = QSeries.one(a.trunc)
+    for i in range(k):
+        out = out * a if i else a
+    return out
+
+
+def _fuzz_series(rng, trunc):
+    """A random integral or rational series on a random exponent grid,
+    possibly with a positive valuation, possibly zero."""
+    step = rng.choice([1, 2, 4, 8])
+    e0 = rng.randrange(trunc)
+    terms = {}
+    for e in range(e0, trunc, step):
+        if rng.random() < 0.4:
+            c = rng.randrange(-9, 10)
+            terms[e] = Fraction(c, rng.choice([1, 2, 3, 16])) if rng.random() < 0.5 else c
+    return QSeries(terms, trunc)
+
+
+def test_pow_fuzz_matches_repeated_product():
+    # the recurrence against plain products: same terms, same truncation
+    rng = random.Random(2026)
+    cases = [(_fuzz_series(rng, rng.randrange(1, 50)), rng.randrange(9)) for _ in range(300)]
+    cases += [(QSeries({}, t), k) for t in (1, 7, 40) for k in range(5)]
+    for t in (9, 33, 97):
+        t4q2 = theta4(t).subs_q2().truncate(t)
+        cases += [(s, k) for s in (theta2(t), theta3(t), t4q2, delta8(t)) for k in range(11)]
+    cases += [(theta2(177), 40), (theta3(177), 40), (theta4(97).subs_q2().truncate(97), 24)]
+    for a, k in cases:
+        p, q = a ** k, _repeated_product(a, k)
+        assert p.terms == q.terms and p.trunc == q.trunc, (a, k)
+        assert all(type(c) is type(q.terms[e]) for e, c in p.terms.items())
+    assert theta2(97) ** 3 == theta2(97) * theta2(97) * theta2(97)
+    assert (theta2(97) ** 3).trunc == 97 + 2  # trunc + (k-1) * valuation
+
+
+def test_pow_checks_each_division_of_the_recurrence():
+    # every step divides exactly on a sound cleared form; a corrupted
+    # numerator (not an integer over the denominator) leaves a remainder
+    a = QSeries({0: 1, 4: 1}, 40)
+    assert a ** 3 == _repeated_product(a, 3)
+    a._ints = (1, [(0, 1), (4, Fraction(1, 3))])
+    with pytest.raises(AssertionError, match="inexact"):
+        a ** 2
 
 
 def test_subs_q2_is_a_ring_map():
