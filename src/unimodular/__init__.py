@@ -45,7 +45,7 @@ from .constructions import (
     glue_double,
     project_shave,
 )
-from .genus import AverageTheta, CountBound, mass_count_bound, solve_cj
+from .genus import AverageTheta, CountBound, genus_mass, mass_count_bound, solve_cj
 from .lattice import (
     Coset,
     Lattice,
@@ -97,6 +97,7 @@ __all__ = [
     "find_glue",
     "find_shave_vector",
     "fit_from_theta",
+    "genus_mass",
     "glue_double",
     "golay24",
     "gram_obstruction",

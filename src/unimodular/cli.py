@@ -263,14 +263,13 @@ def _cmd_genus_avg(args) -> int:
 
 
 def _cmd_genus_bound(args) -> int:
-    avg = genus.solve_cj(args.dim)
-    mass = parse_rat(args.mass) if args.mass else None
-    cb = genus.mass_count_bound(avg, mass=mass)
+    """`genus-bound`: the class-count bound of dimension --dim (any n > 4)
+    from the exact genus mass, which is computed and not an option."""
+    cb = genus.mass_count_bound(genus.solve_cj(args.dim))
     if args.json:
         _emit(cb.to_json_dict())
         return 0
-    approx = " (approximate)" if cb.mass_is_approximate else ""
-    print("dimension %d, genus mass %s%s" % (cb.dim, rat_str(cb.mass), approx))
+    print("dimension %d, genus mass %s (%.6g)" % (cb.dim, rat_str(cb.mass), float(cb.mass)))
     print("  average norm-1 count: %s (%.6g)" % (rat_str(cb.a1), float(cb.a1)))
     print("  average norm-2 count: %s (%.6g)" % (rat_str(cb.a2), float(cb.a2)))
     print("  mass of minimal-norm->=3 classes >= %.6g" % float(cb.m0_lower))
@@ -354,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_genus_avg)
 
-    q = sub.add_parser("genus-bound", help="mass lower bound on class numbers")
+    q = sub.add_parser("genus-bound",
+                       help="class-count lower bound from the exact genus mass")
     q.add_argument("--dim", type=int, default=33)
-    q.add_argument("--mass", help="genus mass as a rational p/q")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_genus_bound)
     return p

@@ -467,20 +467,41 @@ def project_shave(L: Lattice, v, name: str | None = None) -> Lattice:
     return sublattice(L, basis4, div=4, name=name or "shave(%s)" % (L.name or "L"))
 
 
+def _norm4_candidates(L: Lattice):
+    """Norm-4 vectors of L: the basis vectors, then the sums and differences
+    of two basis vectors, then every norm-4 vector of a walk to norm 4.
+    The generator is lazy, so the walk runs only when no cheap candidate
+    is taken."""
+    n = L.dim
+    dg, g = L.int_gram
+    four = 4 * dg  # norm 4 on the integer Gram g = dg * gram
+    for i in range(n):
+        if g[i][i] == four:
+            yield [int(k == i) for k in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                if g[i][i] + g[j][j] + 2 * s * g[i][j] == four:
+                    yield [1 if k == i else s if k == j else 0 for k in range(n)]
+    _, vecs = enumerate_short(L, 4, collect=True)
+    yield from (list(x) for x in vecs if L.norm_of(x) == 4)
+
+
 def find_shave_vector(L: Lattice, target) -> list[int] | None:
-    """First norm-4 vector of L whose shave keeps minimal norm >= target."""
-    counts, vecs = enumerate_short(L, 4, collect=True)
+    """First norm-4 vector of L whose shave keeps minimal norm >= target.
+
+    The basis vectors and two-term sums come first: on glue30 and glue32
+    the first of them already works, while the walk to norm 4 that
+    follows them takes minutes there."""
     seen = set()
-    for x in vecs:
-        if L.norm_of(x) != 4:
-            continue
+    for x in _norm4_candidates(L):
         key = tuple(x) if x[next(i for i, c in enumerate(x) if c)] > 0 \
             else tuple(-c for c in x)
         if key in seen:
             continue
         seen.add(key)
         if not has_vector_below(project_shave(L, x), target):
-            return list(x)
+            return x
     return None
 
 

@@ -12,13 +12,16 @@ alpha_(4i) = 2^(n-2) alpha_i for every i >= 0 (so alpha_0 = 0), and the
 constant term of the average is 1.
 
 Averaged coefficients bound class numbers (`mass_count_bound`).  Let M
-be the mass of the genus, A_k the average number of norm-k vectors and
-M_0 the mass of the classes with no vectors of norm 1 or 2.  Such vectors
-come in +-pairs, so a class outside M_0 has at least two of them, and
-(A_1 + A_2) M >= 2 (M - M_0); hence the mass bound
+be the mass sum 1/|Aut L| of the genus, A_k the average number of norm-k
+vectors and M_0 the mass of the classes with no vectors of norm 1 or 2.
+Such vectors come in +-pairs, so a class outside M_0 has at least two of
+them, and (A_1 + A_2) M >= 2 (M - M_0); hence the mass bound
 M_0 >= M (1 - (A_1 + A_2)/2).  Every lattice has the automorphisms +-1,
 so |Aut| >= 2, each class adds at most 1/2 to M_0, and the number of
-classes of minimal norm >= 3 is at least 2 M_0.
+classes of minimal norm >= 3 is at least 2 M_0.  M is exact for every n:
+`genus_mass` evaluates Conway and Sloane's mass formula in Fractions
+(Bernoulli and Euler numbers; the powers of pi cancel), so the bound is
+a rational certificate, not an estimate.
 
 The c_j come from an integer linear system (the basis series are
 integral), solved by the fraction-free `linalg.gauss_solve`.  One power
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from .linalg import gauss_solve
 from .qseries import QSeries, combine, g2, power_chain, rat_str, theta3
@@ -114,13 +117,84 @@ def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
     return AverageTheta(n, c, series)
 
 
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m, from sum_{j<=k} C(k+1, j) B_j = 0 for k >= 1 (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(comb(k + 1, j) * bj for j, bj in enumerate(b)) / (k + 1))
+    return b
+
+
+def _euler(m: int) -> list[int]:
+    """E_0, E_2, ..., E_2m, from sum_{j<=k} C(2k, 2j) E_2j = 0 for k >= 1."""
+    e = [1]
+    for k in range(1, m + 1):
+        e.append(-sum(comb(2 * k, 2 * j) * ej for j, ej in enumerate(e)))
+    return e
+
+
+def _gamma_half(j: int) -> tuple[Fraction, int]:
+    """Gamma(j/2) as (r, h) with Gamma(j/2) = r * pi^(h/2)."""
+    k = j // 2
+    if j % 2 == 0:
+        return Fraction(factorial(k - 1)), 0
+    return Fraction(factorial(2 * k), 4 ** k * factorial(k)), 1  # Gamma(k + 1/2)
+
+
+def _zeta_even(m: int, b: list[Fraction]) -> tuple[Fraction, int]:
+    """zeta(m), m even, as (r, h): (-1)^(m/2+1) B_m 2^(m-1) / m! * pi^m."""
+    return (-1) ** (m // 2 + 1) * b[m] * 2 ** (m - 1) / factorial(m), 2 * m
+
+
+def genus_mass(n: int) -> Fraction:
+    """Exact mass sum 1/|Aut L| of the genus I_n of odd unimodular
+    n-dimensional lattices.
+
+    Conway and Sloane's mass formula ("Low-dimensional lattices IV: the
+    mass formula", Proc. R. Soc. Lond. A 419, 1988; SPLAG ch. 16) for I_n,
+    whose 2-adic species is n - 1 or n - 2 by n mod 8: with s = ceil(n/2),
+
+        mass = 1/2 pi^(-n(n+1)/4) prod_{j=1..n} Gamma(j/2)
+               prod_{i=1..s-1} zeta(2i) X_n,
+
+    X_n = 1 + eps 2^(1-s) for odd n (eps = +1 if n = +-1, -1 if n = +-3
+    mod 8), L(s, chi_-4) for n = 2, 6 (mod 8), and zeta(s) (1 - 2^-s)
+    (1 + eps 2^(1-s)) for n = 0 (eps = +1) or 4 (eps = -1) mod 8.  Every
+    factor is a rational times a power of sqrt(pi), the rational read off
+    Bernoulli and Euler numbers; the powers are summed and must cancel.
+    The genus I_1 = {Z} has mass 1/2.
+    """
+    if n < 1:
+        raise ValueError("the genus I_n needs dimension >= 1, not %d" % n)
+    if n == 1:
+        return Fraction(1, 2)
+    s = (n + 1) // 2
+    b = _bernoulli(2 * s)
+    factors = [(Fraction(1, 2), -n * (n + 1) // 2)]
+    factors += [_gamma_half(j) for j in range(1, n + 1)]
+    factors += [_zeta_even(2 * i, b) for i in range(1, s)]
+    if n % 2:
+        eps = 1 if n % 8 in (1, 7) else -1
+        factors.append((1 + eps * Fraction(2) ** (1 - s), 0))
+    elif n % 4 == 2:
+        # L(s, chi_-4) = (-1)^k E_2k / (4^(k+1) (2k)!) pi^s, s = 2k + 1
+        k = s // 2
+        factors.append((Fraction((-1) ** k * _euler(k)[k],
+                                 4 ** (k + 1) * factorial(2 * k)), 2 * s))
+    else:
+        eps = 1 if n % 8 == 0 else -1
+        r, h = _zeta_even(s, b)
+        factors.append((r * (1 - Fraction(1, 2 ** s)) * (1 + eps * Fraction(2) ** (1 - s)), h))
+    assert sum(h for _, h in factors) == 0, "the powers of pi do not cancel"
+    return prod(r for r, _ in factors)
+
+
 @dataclass
 class CountBound:
     """Lower bound on the number of classes of minimal norm >= 3."""
 
     dim: int
     mass: Fraction
-    mass_is_approximate: bool
     a1: Fraction
     a2: Fraction
     m0_lower: Fraction
@@ -130,7 +204,6 @@ class CountBound:
         return {
             "dim": self.dim,
             "mass": rat_str(self.mass),
-            "mass_is_approximate": self.mass_is_approximate,
             "avg_norm1": rat_str(self.a1),
             "avg_norm2": rat_str(self.a2),
             "m0_lower": rat_str(self.m0_lower),
@@ -138,34 +211,19 @@ class CountBound:
         }
 
 
-#: Total mass of the genus of odd unimodular 33-dimensional lattices,
-#: truncated to four significant digits (the exact value is a huge
-#: rational; bounds derived from this number inherit its precision).
-DEFAULT_MASS_33 = Fraction(1407) * 10 ** 18
-
-
-def mass_count_bound(avg: AverageTheta, mass=None) -> CountBound:
+def mass_count_bound(avg: AverageTheta) -> CountBound:
     """Bound the number of minimal-norm->=3 classes in the genus.
 
     The total count of norm-1 and norm-2 vectors over the genus is
     (A_1 + A_2) * M = 2 M_2 + 4 M_4 + ... >= 2 (M - M_0), where M_(2k) is
-    the mass of classes with exactly 2k such vectors.  Hence
-    M_0 >= M (1 - (A_1 + A_2)/2), and |Aut| >= 2 turns mass into a count:
-    #classes >= 2 M_0.  A given mass is taken as exact and must be
-    positive; the default (DEFAULT_MASS_33, dimension 33 only) is marked
-    approximate.
+    the mass of classes with exactly 2k such vectors and M = genus_mass(n)
+    is exact.  Hence M_0 >= M (1 - (A_1 + A_2)/2), and |Aut| >= 2 turns
+    mass into a count: #classes >= 2 M_0.
     """
-    mass_is_approximate = mass is None
-    if mass is None:
-        if avg.dim != 33:
-            raise ValueError("no default mass known for dimension %d" % avg.dim)
-        mass = DEFAULT_MASS_33
-    mass = Fraction(mass)
-    if mass <= 0:
-        raise ValueError("genus mass must be positive, not %s" % rat_str(mass))
+    mass = genus_mass(avg.dim)
     a1 = avg.coeff_norm(1)
     a2 = avg.coeff_norm(2)
     m0 = mass * (1 - (a1 + a2) / 2)
     if m0 < 0:
         m0 = Fraction(0)  # vacuous bound
-    return CountBound(avg.dim, mass, mass_is_approximate, a1, a2, m0, 2 * m0)
+    return CountBound(avg.dim, mass, a1, a2, m0, 2 * m0)

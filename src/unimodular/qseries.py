@@ -16,9 +16,11 @@ products), so the arithmetic runs on ints: a product clears each factor
 to integer numerators over one common denominator, convolves in ints and
 divides once.  Each series clears itself once, on first use, and keeps
 the cleared form, so a cached basis series is not cleared again by every
-product and combination it enters.  There is no floating point: a float
-coefficient, exponent or truncation is a TypeError, and `QSeries.coeff`
-returns a Fraction, so dividing what it returns stays exact.
+product and combination it enters; a product, power or combination
+divided by 1 is made with its cleared form, so it is never scanned.
+There is no floating point: a float coefficient, exponent or truncation
+is a TypeError, and `QSeries.coeff` returns a Fraction, so dividing what
+it returns stays exact.
 
 A power f^k is not built from products.  It is one pass of J.C.P.
 Miller's recurrence over f's nonzero terms per coefficient, on f's own
@@ -69,16 +71,21 @@ def _exact(c):
     raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
 
 
-def _over(nums, den: int) -> dict:
-    """Normal-form terms {e: c / den} of (e, int c) pairs, zeros dropped."""
+def _from_nums(nums, den: int, trunc: int) -> "QSeries":
+    """The series of the terms c / den of (e, int c) pairs, each e < trunc,
+    in normal form, zeros dropped.  Over den 1 every term is an int, so the
+    series keeps its terms as its cleared form and no later product or
+    combination scans them again."""
     if den == 1:
-        return {e: c for e, c in nums if c}
+        s = QSeries._make({e: c for e, c in nums if c}, trunc)
+        s._ints = 1, s.terms.items()
+        return s
     out = {}
     for e, c in nums:
         if c:
             q, r = divmod(c, den)
             out[e] = Fraction(c, den) if r else q
-    return out
+    return QSeries._make(out, trunc)
 
 
 def _monomial_str(e: int) -> str:
@@ -129,8 +136,9 @@ class QSeries:
 
     def _cleared(self):
         """(den, (e, den * c_e) pairs in exponent order), den the lcm of the
-        denominators.  Computed once per series; an integral series (den 1)
-        hands out its own items, so the cache costs it no copy."""
+        denominators.  Computed once per series, unless the series was made
+        with it; an integral series (den 1) hands out its own items, so the
+        cache costs it no copy."""
         if self._ints is None:
             terms = self.terms
             # in normal form a coefficient is integral exactly when an int
@@ -140,6 +148,12 @@ class QSeries:
                 den, (nums,) = clear_denominators([list(terms.values())])
                 self._ints = den, list(zip(terms, nums))
         return self._ints
+
+    def __reduce__(self):
+        # a copy or a pickle carries terms and truncation only: the cleared
+        # form of an integral series is a view of its terms, which neither
+        # copies nor pickles, and a copy clears itself again on first use
+        return QSeries._make, (self.terms, self.trunc)
 
     # -- constructors ----------------------------------------------------
 
@@ -218,7 +232,7 @@ class QSeries:
                     if e >= t:
                         break
                     acc[e] += c1 * c2
-        return QSeries._make(_over(enumerate(acc), da * db), t)
+        return _from_nums(enumerate(acc), da * db, t)
 
     __rmul__ = __mul__
 
@@ -256,8 +270,7 @@ class QSeries:
             q, r = divmod(acc, j * a0)
             assert not r, "inexact step %d in the power recurrence" % j
             out.append(q)
-        return QSeries._make(
-            _over(((k * e0 + g * j, c) for j, c in enumerate(out)), den ** k), t)
+        return _from_nums(((k * e0 + g * j, c) for j, c in enumerate(out)), den ** k, t)
 
     def truncate(self, t: int) -> "QSeries":
         """Forget coefficients at exponents >= t (cannot extend knowledge).
@@ -356,7 +369,7 @@ def combine(coeffs, basis) -> QSeries:
             if e >= t:
                 break
             acc[e] += f * c
-    return QSeries._make(_over(enumerate(acc), den), t)
+    return _from_nums(enumerate(acc), den, t)
 
 
 def power_chain(base: QSeries, first: QSeries, count: int, trunc: int) -> list[QSeries]:

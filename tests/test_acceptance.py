@@ -193,8 +193,8 @@ def test_criterion_09_genus_average_and_count():
         avg = solve_cj(33)
         assert avg.coeff_norm(1) == Fraction(15535133760578, 505245773078238529)
         assert avg.coeff_norm(2) == Fraction(719890853572979520, 505245773078238529)
-        cb = mass_count_bound(avg, mass=Fraction(1407) * 10 ** 18)
-        # the mass is approximate: compare at 3 significant decimal digits
+        cb = mass_count_bound(avg)
+        assert abs(cb.mass / 10 ** 21 - Fraction(1407, 1000)) < Fraction(1, 1000)
         assert cb.m0_lower >= Fraction(404, 1000) * 10 ** 21
         assert cb.count_lower >= 8 * 10 ** 20
         assert abs(float(cb.m0_lower) / 1e21 - 0.405) < 0.001

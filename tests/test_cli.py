@@ -14,6 +14,7 @@ import pytest
 import unimodular
 from unimodular.cli import main
 from unimodular.constructions import GLUE_A15_T3, GLUE_D16_T4, SHAVE_30, SHAVE_32
+from unimodular.genus import genus_mass
 from unimodular.lattice import lattice_from_json_dict
 
 
@@ -157,10 +158,13 @@ def test_genus_bound(capsys):
     code, out, _ = run(capsys, "genus-bound", "--json")
     assert code == 0
     d = json.loads(out)
-    assert d["dim"] == 33 and d["mass_is_approximate"]
-    assert d["count_lower"].startswith("408853316531779902720")
-    code, out, _ = run(capsys, "genus-bound", "--dim", "33", "--mass", "1407000000000000000000")
-    assert code == 0 and "8.09217e+20" in out
+    assert d["dim"] == 33 and Fraction(d["mass"]) == genus_mass(33)
+    assert d["count_lower"].startswith("200622370593700250691")
+    assert Fraction(d["count_lower"]) >= 8 * 10 ** 20
+    code, out, _ = run(capsys, "genus-bound", "--dim", "33")
+    assert code == 0 and "8.09598e+20" in out and "(1.40766e+21)" in out
+    for n in range(5, 41):
+        assert run(capsys, "genus-bound", "--dim", str(n))[0] == 0
 
 
 def _digest(capsys, *argvs):
@@ -180,7 +184,7 @@ def _digest(capsys, *argvs):
     ([["genus-avg", "--dim", str(n), "--json"] for n in range(5, 41)],
      "d151723f5660f03f053ae053ffd12b839e4dceabab39e18d2eaa115aae24d028"),
     ([["genus-bound", "--dim", "33", "--json"]],
-     "9fd0b416b96fa90c1b3d0b4300f67105c429064d0dd284ff0c8a096c819c84c5"),
+     "ee4a7c53cd17cd843933cc79e9184b4d3e277eaea2df2d36769a36077e442241"),
 ], ids=["table1", "bound33", "genus-avg", "genus-bound"])
 def test_series_engine_outputs_are_pinned(capsys, argvs, digest):
     # a speed-up of the series or genus engine must print the same bytes
@@ -241,14 +245,15 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["theta", "--lattice", "{file}", "--max-norm", "2"], [[1, 0], [0, "7/8"]], 2),
     (["verify", "--lattice", "z1", "--min", "1/0"], None, 2),
     (["verify", "--lattice", "{file}"], [["1/0"]], 2),
-    (["genus-bound", "--dim", "33", "--mass", "1/0"], None, 2),
+    # the genus average, so the count bound, needs dimension > 4
+    (["genus-bound", "--dim", "4"], None, 2),
     (["construct", "glue", "--base", "z2", "--images", "9,2"], None, 2),
     (["construct", "glue", "--base", "z2", "--images=-1,2"], None, 2),
     # x.v is not an integer on a non-integral lattice
     (["construct", "shave", "--lattice", "{file}", "--vector", "1,0"],
      [[4, "1/2"], ["1/2", 1]], 2),
-    (["genus-bound", "--dim", "33", "--mass", "-5"], None, 2),
-    (["genus-bound", "--dim", "33", "--mass", "0"], None, 2),
+    (["genus-bound", "--dim", "0"], None, 2),
+    (["genus-bound", "--dim", "-3"], None, 2),
     # the dimension-9 average is solved through norm 12
     (["genus-avg", "--dim", "9", "--upto", "13"], None, 2),
     (["genus-avg", "--dim", "9", "--upto", "-3"], None, 2),
@@ -286,6 +291,7 @@ def test_construct_reports_a_non_unimodular_result(tmp_path, capsys, argv, gram,
     ["construct", "glue", "--base", "z2", "--images", "-1,2"],  # -1,2 reads as an option
     ["verify", "--lattice"],
     ["bound", "--dim", "33", "--mu", "4", "--trunc", "17"],  # no such option
+    ["genus-bound", "--dim", "33", "--mass", "1"],  # the mass is computed, not given
 ])
 def test_argparse_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from unimodular import constructions
 from unimodular.bounds import fit_from_theta, shadow_theta
 from unimodular.codes import code_to_odd_lattice, golay24
 from unimodular.constructions import (
@@ -493,6 +494,19 @@ def test_find_shave_vector_on_z4():
     v = find_shave_vector(zn(4), 1)
     assert v is not None and zn(4).norm_of(v) == 4
     assert min_norm(project_shave(zn(4), v)) >= 1
+
+
+def test_find_shave_vector_on_the_doubled_lattices(glue30, glue32, monkeypatch):
+    # the walk to norm 4 runs for minutes on these; a basis vector or a sum
+    # of two is taken before it starts
+    def no_walk(*args, **kwargs):
+        raise AssertionError("find_shave_vector walked to norm 4")
+
+    monkeypatch.setattr(constructions, "enumerate_short", no_walk)
+    for L in (glue30, glue32):
+        v = find_shave_vector(L, 3)
+        assert v is not None and L.norm_of(v) == 4
+        assert min_norm(project_shave(L, v)) >= 3
 
 
 def test_shave29_structure(glue30):

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from unimodular.genus import DEFAULT_MASS_33, mass_count_bound, solve_cj
+from unimodular.genus import genus_mass, mass_count_bound, solve_cj
 from unimodular.qseries import QSeries, eisenstein_e4, g2, h2, theta2, theta3, theta4
 
 
@@ -27,18 +27,51 @@ def test_dim9_average_is_the_two_class_mixture():
     assert avg.c == [0, Fraction(16, 17), Fraction(1, 17)]
 
 
+#: |W(E8)| = |Aut E8|
+AUT_E8 = 696729600
+
+
+def _aut_zn(k: int) -> int:
+    """|Aut Z^k| = 2^k k!, the signed permutations."""
+    return 2 ** k * factorial(k)
+
+
+def _class_auts(n: int) -> list[int]:
+    """|Aut| of every class of I_n for 2 <= n <= 13: Z^n, E8+Z^(n-8) for
+    n >= 9 and D12+ + Z^(n-12) for n >= 12, with |Aut D12+| = 2^11 12!."""
+    auts = [_aut_zn(n)]
+    if n >= 9:
+        auts.append(AUT_E8 * _aut_zn(n - 8))
+    if n >= 12:
+        auts.append(2 ** 11 * factorial(12) * _aut_zn(n - 12))
+    return auts
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_genus_mass_is_the_sum_over_the_known_classes(n):
+    # every residue of n mod 8 occurs among 2..13
+    assert genus_mass(n) == sum(Fraction(1, aut) for aut in _class_auts(n))
+
+
+def test_genus_mass_small_and_dim33():
+    assert genus_mass(1) == Fraction(1, 2)  # Z, with Aut = {+-1}
+    with pytest.raises(ValueError):
+        genus_mass(0)
+    # the four-digit value 1.407e21 once hard-coded for dimension 33
+    assert abs(genus_mass(33) / 10 ** 21 - Fraction(1407, 1000)) < Fraction(1, 1000)
+
+
 def test_dim12_average_is_the_three_class_mixture():
     # n = 4 (mod 8) used to make the square system singular; the genus is
     # {Z^12, E8+Z^4, D12+}, weighted by 1/|Aut|
     avg = solve_cj(12)
     t = avg.series.trunc
     t2, t3, t4 = theta2(t), theta3(t), theta4(t)
-    classes = [
-        (t3 ** 12, 2 ** 12 * factorial(12)),
-        (eisenstein_e4(t) * t3 ** 4, 696729600 * 2 ** 4 * factorial(4)),
-        ((t2 ** 12 + t3 ** 12 + t4 ** 12) * Fraction(1, 2), 2 ** 11 * factorial(12)),
-    ]
+    thetas = [t3 ** 12, eisenstein_e4(t) * t3 ** 4,
+              (t2 ** 12 + t3 ** 12 + t4 ** 12) * Fraction(1, 2)]
+    classes = list(zip(thetas, _class_auts(12)))
     mass = sum(Fraction(1, aut) for _, aut in classes)
+    assert mass == genus_mass(12)
     mix = None
     for theta, aut in classes:
         term = theta * (Fraction(1, aut) / mass)
@@ -154,8 +187,7 @@ def test_dim33_exact_averages():
 
 def test_dim33_count_bound():
     cb = mass_count_bound(solve_cj(33))
-    assert cb.mass == DEFAULT_MASS_33 == Fraction(1407) * 10 ** 18
-    assert cb.mass_is_approximate
+    assert cb.mass == genus_mass(33)
     assert cb.m0_lower >= Fraction(404, 1000) * 10 ** 21
     assert cb.count_lower >= 8 * 10 ** 20
     assert cb.count_lower == 2 * cb.m0_lower
@@ -166,23 +198,24 @@ def test_dim33_count_bound():
 
 def test_count_bound_json():
     d = mass_count_bound(solve_cj(33)).to_json_dict()
-    assert d["dim"] == 33 and d["mass_is_approximate"] is True
+    assert d["dim"] == 33 and Fraction(d["mass"]) == genus_mass(33)
     assert set(d) == {
-        "dim", "mass", "mass_is_approximate", "avg_norm1", "avg_norm2",
-        "m0_lower", "count_lower",
+        "dim", "mass", "avg_norm1", "avg_norm2", "m0_lower", "count_lower",
     }
 
 
 def test_vacuous_bound_clamps_to_zero():
     # dimension 9 averages more than two short vectors per class
-    cb = mass_count_bound(solve_cj(9), mass=1)
+    cb = mass_count_bound(solve_cj(9))
     assert cb.m0_lower == 0 and cb.count_lower == 0
-    assert not cb.mass_is_approximate
 
 
-def test_default_mass_only_for_dim33():
-    with pytest.raises(ValueError):
-        mass_count_bound(solve_cj(9))
+def test_count_bound_runs_in_every_dimension():
+    # the exact mass exists for every n, so no dimension is refused
+    for n in range(5, 41):
+        cb = mass_count_bound(solve_cj(n))
+        assert cb.dim == n and cb.mass == genus_mass(n) > 0
+        assert 0 <= cb.m0_lower <= cb.mass and cb.count_lower == 2 * cb.m0_lower
 
 
 def test_solver_input_guard():

@@ -1,5 +1,7 @@
 """Series ring: independent expansions, classical identities, ring laws."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -411,6 +413,25 @@ def test_floats_are_rejected():
 
 # ---------------------------------------------------------------------------
 # truncation and error handling
+
+
+def test_integral_results_are_made_with_their_cleared_form():
+    # a product, power or combination over denominator 1 is never scanned
+    # for integrality; its cleared form is its own terms
+    a, b = theta3(40), QSeries({0: 1, 4: -3, 8: 2}, 40)
+    half = QSeries({0: Fraction(1, 2), 4: 1}, 40)
+    for r in (a * b, b ** 3, combine([2, -1], [a, b])):
+        assert r._ints[0] == 1 and list(r._ints[1]) == list(r.terms.items())
+        fresh = QSeries(r.terms, r.trunc)  # cleared again on first use
+        assert r * half == fresh * half and r ** 2 == fresh ** 2
+    # copies and pickles leave the cleared form behind and make their own
+    for r in (a * b, copy.deepcopy(a * b), pickle.loads(pickle.dumps(a * b))):
+        assert r == a * b and r * half == (a * b) * half
+    # a result over a larger denominator is cleared when first used, even
+    # when the division leaves ints
+    r, whole = half * b, half * QSeries({0: 2}, 40)
+    assert r._ints is None and r._cleared()[0] == 2
+    assert whole._ints is None and whole._cleared() == (1, whole.terms.items())
 
 
 def test_truncation_semantics():
