@@ -46,7 +46,7 @@ from .qseries import (
     QSeries,
     combine,
     cusp_delta24,
-    delta8,
+    delta8_ratio,
     eisenstein_e4,
     power_basis,
     power_chain,
@@ -95,14 +95,14 @@ MAX_CANDIDATES = 4096
 
 @lru_cache(maxsize=None)
 def theta_basis(n: int, trunc: int) -> tuple[QSeries, ...]:
-    """Basis delta8^j * theta3^(n-8j), j = 0..[n/8], truncated at `trunc`."""
+    """Basis delta8^j * theta3^(n-8j), j = 0..[n/8], truncated at `trunc`:
+    the chain theta3^n * r^j with r = delta8 / theta3^8, one product per
+    j >= 1 after theta3^n, which the power recurrence builds."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    # delta8 is dense, so its powers are a product chain; below dimension 8
-    # the basis is theta3^n alone, and delta8 is not built
-    d8 = delta8(trunc) if n >= 8 else None
-    d8pows = power_chain(d8, QSeries.one(trunc), n // 8 + 1, trunc)
-    return tuple(power_basis(theta3(trunc), n, 8, d8pows, trunc))
+    # below dimension 8 the basis is theta3^n alone, and r is not built
+    r = delta8_ratio(trunc) if n >= 8 else None
+    return tuple(power_chain(r, theta3(trunc) ** n, n // 8 + 1, trunc))
 
 
 @lru_cache(maxsize=None)

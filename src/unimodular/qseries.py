@@ -24,19 +24,19 @@ it returns stays exact.
 
 A power f^k is not built from products.  It is one pass of J.C.P.
 Miller's recurrence over f's nonzero terms per coefficient, on f's own
-exponent grid, in ints with exact divisions.  That costs O(T * #terms)
-for T coefficients, so the sparse theta2, theta3 and theta4(q^2), with
-about sqrt(T) terms each, are raised to any power without a dense
-product.  A dense series such as delta8 is raised along a product chain
-instead (`power_chain`), one product per power, where a basis needs all
-its powers anyway.
+exponent grid, in ints with exact divisions, for any k when f is a unit
+(constant term +-1 once cleared).  That costs O(T * #terms) for T
+coefficients, so the sparse thetas and Euler's pentagonal series reach
+any power, theta3's negative ones too, without a dense product; each
+classical quotient then costs one product.  A dense series is raised along
+a product chain (`power_chain`), one product per power.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import index
 
 from .linalg import clear_denominators
@@ -237,40 +237,11 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """self^k in one sparse pass, by J.C.P. Miller's recurrence
-        (Knuth, TAOCP vol. 2, 4.7), known as far as k - 1 products would
-        know it: up to trunc + (k-1)*valuation.
-
-        Write self = q^e0 * F(q^g), g the gcd of the exponent gaps, with F
-        cleared to integer numerators A_i over den.  Then G = F^k satisfies
-        G_0 = A_0^k and j*A_0*G_j = sum_{i>=1} ((k+1)*i - j) * A_i * G_(j-i),
-        which costs one pass over F's nonzero terms per coefficient of G.
-        Every G_j is an integer, so each division is exact, and the result
-        is divided once by den^k."""
+        """self^k for k >= 0, in one sparse pass (`_power`), known as far as
+        k - 1 products would know it: up to trunc + (k-1)*valuation."""
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k == 0:
-            return QSeries.one(self.trunc)
-        e0 = self.valuation()
-        t = self.trunc + (k - 1) * e0
-        if not self.terms:
-            return QSeries._make({}, t)
-        den, nums = self._cleared()
-        # a monomial has no gaps; g = trunc - e0 leaves G_0 alone below trunc
-        g = gcd(*(e - e0 for e, _ in nums)) or self.trunc - e0
-        (_, a0), *rest = nums
-        tail = [((e - e0) // g, c) for e, c in rest]  # (i, A_i), i ascending
-        out = [a0 ** k]
-        for j in range(1, -(-(self.trunc - e0) // g)):  # while e0 + g*j < trunc
-            acc = 0
-            for i, c in tail:
-                if i > j:
-                    break
-                acc += ((k + 1) * i - j) * c * out[j - i]
-            q, r = divmod(acc, j * a0)
-            assert not r, "inexact step %d in the power recurrence" % j
-            out.append(q)
-        return _from_nums(((k * e0 + g * j, c) for j, c in enumerate(out)), den ** k, t)
+        return _power(self, k)
 
     def truncate(self, t: int) -> "QSeries":
         """Forget coefficients at exponents >= t (cannot extend knowledge).
@@ -347,6 +318,46 @@ class QSeries:
         return QSeries([(int(e), parse_rat(c)) for e, c in d["den4"]], int(d["trunc"]))
 
 
+def _power(f: QSeries, k: int) -> QSeries:
+    """f^k in one sparse pass, by J.C.P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7), known up to trunc + (k-1)*valuation.
+
+    Write f = q^e0 * F(q^g), g the gcd of the exponent gaps, with F cleared
+    to integer numerators A_i over den.  Then G = F^k satisfies
+    G_0 = A_0^k and j*A_0*G_j = sum_{i>=1} ((k+1)*i - j) * A_i * G_(j-i),
+    which costs one pass over F's nonzero terms per coefficient of G.
+    Every G_j is an integer, so each division is exact, and the result is
+    divided once by den^k.  A negative k needs e0 = 0 and A_0 = +-1, else
+    it is a ValueError: then F is a unit, G is integral, and f^k is G times
+    den^|k|."""
+    if k == 0:
+        return QSeries.one(f.trunc)
+    e0 = f.valuation()
+    if k < 0 and (e0 or abs(f.terms[0] * f._cleared()[0]) != 1):
+        raise ValueError("a negative power needs valuation 0 and a constant term +-1/den")
+    t = f.trunc + (k - 1) * e0
+    if not f.terms:
+        return QSeries._make({}, t)
+    den, nums = f._cleared()
+    # a monomial has no gaps; g = trunc - e0 leaves G_0 alone below trunc
+    g = gcd(*(e - e0 for e, _ in nums)) or f.trunc - e0
+    (_, a0), *rest = nums
+    # f^k = G / den^k; for k < 0, A_0^k = A_0^|k| and f^k = G * den^|k|
+    scale, den = (1, den ** k) if k > 0 else (den ** -k, 1)
+    tail = [((e - e0) // g, c) for e, c in rest]  # (i, A_i), i ascending
+    out = [a0 ** abs(k)]
+    for j in range(1, -(-(f.trunc - e0) // g)):  # while e0 + g*j < trunc
+        acc = 0
+        for i, c in tail:
+            if i > j:
+                break
+            acc += ((k + 1) * i - j) * c * out[j - i]
+        q, r = divmod(acc, j * a0)
+        assert not r, "inexact step %d in the power recurrence" % j
+        out.append(q)
+    return _from_nums(((k * e0 + g * j, c * scale) for j, c in enumerate(out)), den, t)
+
+
 def combine(coeffs, basis) -> QSeries:
     """sum_j coeffs[j] * basis[j], known up to the basis truncation.
 
@@ -391,27 +402,9 @@ def power_basis(a: QSeries, top: int, step: int, bpowers, trunc: int) -> list[QS
 # -- classical series --------------------------------------------------------
 #
 # All constructors take the truncation in quarters and build integer
-# coefficients.  Every product formula is a `QSeries` product of binomial
-# factors; a leading q or x is a product with a monomial, whose valuation
-# raises the truncation of the product below it by its own exponent.
-
-
-def _binomial(k: int, sign: int, power: int, trunc: int) -> QSeries:
-    """(1 + sign*q^(k/4))^power through `trunc`, for any integer power.
-
-    The generalized binomial C(power, i) is an integer for negative powers
-    too, so a negative power gives the factor's integral inverse."""
-    terms, c, i = {}, 1, 0
-    while c and i * k < trunc:
-        terms[i * k] = c
-        c = sign * c * (power - i) // (i + 1)
-        i += 1
-    return QSeries._make(terms, trunc)
-
-
-def _product(factors, trunc: int) -> QSeries:
-    """The product of the factors, each truncated at `trunc`."""
-    return prod(factors, start=QSeries.one(trunc))
+# coefficients.  The theta series are read off their exponents; every other
+# classical series is a quotient of thetas or a power of Euler's pentagonal
+# series, so it costs powers by `_power` and at most two products.
 
 
 @lru_cache(maxsize=None)
@@ -446,45 +439,37 @@ def theta2(trunc: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def delta8(trunc: int) -> QSeries:
-    """delta8(q) = q prod_m (1-q^(2m-1))^8 (1-q^(4m))^8 = q - 8q^2 + 28q^3 - ...
-
-    Weight-4 form for the theta expansion of odd unimodular lattices.
-    """
+    """delta8 = theta2^4 theta4^4 / 16 = q prod_m (1-q^(2m-1))^8 (1-q^(4m))^8
+    = q - 8q^2 + 28q^3 - ..., the weight-4 form for the theta expansion of
+    odd unimodular lattices."""
     if trunc < 8:
         raise ValueError("truncation too small for delta8")
-    t = trunc - 4  # the leading q lifts the product's truncation to trunc
-    exps = [*range(4, t, 8), *range(16, t, 16)]  # q^(2m-1) and q^(4m)
-    return QSeries({4: 1}, trunc) * _product((_binomial(e, -1, 8, t) for e in exps), t)
+    return (theta2(trunc) ** 4).truncate(trunc) * theta4(trunc) ** 4 * Fraction(1, 16)
 
 
 @lru_cache(maxsize=None)
-def _inv_plus_odd(trunc: int) -> QSeries:
-    """prod_m (1+q^(2m-1))^(-8), the denominator g2 and h2 share."""
-    if trunc < 8:
-        raise ValueError("truncation too small")
-    return _product((_binomial(e, 1, -8, trunc) for e in range(4, trunc, 8)), trunc)
+def delta8_ratio(trunc: int) -> QSeries:
+    """delta8 / theta3^8 = g2 h2 / 16 = q - 24q^2 + ..., the step of the
+    theta basis: delta8^j theta3^(n-8j) = theta3^n (delta8 / theta3^8)^j."""
+    return delta8(trunc) * _power(theta3(trunc), -8)
 
 
 @lru_cache(maxsize=None)
 def g2(trunc: int) -> QSeries:
-    """g2(q) = 16q prod_m ((1+q^(2m))/(1+q^(2m-1)))^8 = 16q - 128q^2 + ...
-
-    Satisfies g2 * theta3^4 = theta2^4 and g2 + h2 = 1.
-    """
-    inv = _inv_plus_odd(trunc)
-    t = trunc - 4  # the leading 16q lifts the product's truncation to trunc
-    g = inv.truncate(t) * _product((_binomial(e, 1, 8, t) for e in range(8, t, 8)), t)
-    return QSeries({4: 16}, trunc) * g
+    """g2 = theta2^4 / theta3^4 = 16q prod_m ((1+q^(2m))/(1+q^(2m-1)))^8
+    = 16q - 128q^2 + ...; g2 + h2 = 1."""
+    if trunc < 8:
+        raise ValueError("truncation too small")
+    return (theta2(trunc) ** 4).truncate(trunc) * _power(theta3(trunc), -4)
 
 
 @lru_cache(maxsize=None)
 def h2(trunc: int) -> QSeries:
-    """h2(q) = prod_m ((1-q^(2m-1))/(1+q^(2m-1)))^8 = 1 - 16q + 128q^2 - ...
-
-    Satisfies h2 * theta3^4 = theta4^4 and g2 + h2 = 1.
-    """
-    inv = _inv_plus_odd(trunc)
-    return inv * _product((_binomial(e, -1, 8, trunc) for e in range(4, trunc, 8)), trunc)
+    """h2 = theta4^4 / theta3^4 = prod_m ((1-q^(2m-1))/(1+q^(2m-1)))^8
+    = 1 - 16q + 128q^2 - ...; g2 + h2 = 1."""
+    if trunc < 8:
+        raise ValueError("truncation too small")
+    return theta4(trunc) ** 4 * _power(theta3(trunc), -4)
 
 
 @lru_cache(maxsize=None)
@@ -502,9 +487,15 @@ def eisenstein_e4(trunc: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def cusp_delta24(trunc: int) -> QSeries:
-    """The weight-12 cusp form in the nome x = q^2: x prod (1-x^m)^24."""
+    """The weight-12 cusp form in the nome x = q^2: x prod (1-x^m)^24,
+    that is x P(x)^24 with Euler's pentagonal series
+    P = prod (1-x^m) = sum_k (-1)^k x^(k(3k-1)/2), k over all integers."""
     if trunc < 9:
         raise ValueError("truncation too small for cusp_delta24")
-    t = trunc - 8  # the leading x lifts the product's truncation to trunc
-    return QSeries({8: 1}, trunc) * _product(
-        (_binomial(e, -1, 24, t) for e in range(8, t, 8)), t)
+    t = trunc - 8  # the leading x lifts the power's truncation to trunc
+    terms, k = {0: 1}, 1
+    while 4 * k * (3 * k - 1) < t:  # x^(k(3k-1)/2) at 8 * k(3k-1)/2 quarters
+        for m in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            terms[8 * m] = (-1) ** k
+        k += 1
+    return _from_nums(((e + 8, c) for e, c in (QSeries(terms, t) ** 24).terms.items()), 1, trunc)

@@ -37,8 +37,9 @@ from unimodular.bounds import (
     table1,
     theta_basis,
 )
+from unimodular.genus import solve_cj
 from unimodular.lattice import enumerate_short, shadow_cosets, theta_by_enumeration, zn
-from unimodular.qseries import QSeries, delta8, theta2, theta3, theta4
+from unimodular.qseries import QSeries, delta8, delta8_ratio, theta2, theta3, theta4
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,25 @@ def test_bases_equal_the_product_chain_construction():
             chain = _chain_basis(theta2(t), n, 8, t4q2_8, count, t)
             signed = tuple(s * Fraction((-1) ** j, 16 ** j) for j, s in enumerate(chain))
             assert shadow_basis(n, t) == signed, (n, t)
+
+
+@pytest.mark.parametrize("n", [8, 17, 33, 40])
+def test_theta_basis_makes_one_product_per_power(monkeypatch, n):
+    # theta3^n by the power recurrence, which makes no product, then one
+    # product per power of r = delta8 / theta3^8
+    t = default_trunc(n, n // 8 + 3)
+    theta3(t), delta8_ratio(t)
+    theta_basis.cache_clear()
+    calls = []
+    mul = QSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    theta_basis(n, t)
+    assert len(calls) == n // 8
 
 
 def test_shadow_basis_leading_exponents():
@@ -552,6 +572,20 @@ def test_scan_and_table_digest():
     h.update(json.dumps(table1(8, 40), sort_keys=True).encode())
     assert h.hexdigest() == (
         "a264f28446657708841b011664dd429ff4301f180d24ee25b0111e988e23ffe9")
+
+
+def test_genus_average_and_even_scan_digest():
+    # pins the series built from g2 and Delta24, which the scans above
+    # never read: every genus average and every even extremal fit
+    h = hashlib.sha256()
+    for n in range(5, 49):
+        avg = solve_cj(n).to_json_dict()
+        h.update(json.dumps([avg["c"], avg["series"]]).encode())
+    for n in range(8, 49):
+        es = even_extremal_scan(n)
+        h.update(json.dumps(es and es.to_json_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "c692e4c0c99f7b17abd37d217d7b73f444b0671c85533a7195ec77c504f2586a")
 
 
 def test_branch_series_built_on_read():

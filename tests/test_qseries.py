@@ -10,9 +10,11 @@ import pytest
 from unimodular.bounds import shadow_basis, theta_basis
 from unimodular.qseries import (
     QSeries,
+    _power,
     combine,
     cusp_delta24,
     delta8,
+    delta8_ratio,
     eisenstein_e4,
     g2,
     h2,
@@ -81,13 +83,45 @@ def test_theta3_low_coefficients():
 
 
 def test_delta8_matches_product_expansion():
-    # delta8 = q * prod (1-q^(2m-1))^8 (1-q^(4m))^8
-    kmax = 15
+    # delta8 = q * prod (1-q^(2m-1))^8 (1-q^(4m))^8, through T = 77, past
+    # the largest truncation table1(8, 40) uses (73)
+    kmax = 18
     prod = _eta_product(lambda m: 8 if (m % 2 == 1 or m % 4 == 0) else 0, kmax)
     d = delta8(4 * (kmax + 1) + 1)
     for k, c in prod.items():
         assert d.coeff(4 * (k + 1)) == c
     assert [d.coeff(4 * m) for m in range(6)] == [0, 1, -8, 28, -64, 126]
+
+
+def _binomial_product(factors, kmax):
+    """q-integer expansion through q^kmax of prod (1 + s*q^m)^p over the
+    (m, s, p) factors, p = +-8: each factor multiplied or divided in place."""
+    acc = {e: 0 for e in range(kmax + 1)}
+    acc[0] = 1
+    for m, s, p in factors:
+        for _ in range(abs(p)):
+            if p > 0:  # times (1 + s q^m), from the top down
+                for e in range(kmax, m - 1, -1):
+                    acc[e] += s * acc[e - m]
+            else:  # over (1 + s q^m), from the bottom up
+                for e in range(m, kmax + 1):
+                    acc[e] -= s * acc[e - m]
+    return acc
+
+
+def test_g2_h2_match_product_expansions():
+    # through T = 177, the truncation solve_cj(40) uses
+    t = 177
+    kmax = (t - 1) // 4
+    odd = [(m, 1, -8) for m in range(1, kmax + 1, 2)]  # (1+q^(2m-1))^(-8)
+    # g2 = 16q prod ((1+q^(2m))/(1+q^(2m-1)))^8
+    g = _binomial_product(odd + [(m, 1, 8) for m in range(2, kmax + 1, 2)], kmax - 1)
+    assert g2(t).terms == {4 * (k + 1): 16 * c for k, c in g.items() if c}
+    # h2 = prod ((1-q^(2m-1))/(1+q^(2m-1)))^8
+    h = _binomial_product(odd + [(m, -1, 8) for m in range(1, kmax + 1, 2)], kmax)
+    assert h2(t).terms == {4 * k: c for k, c in h.items() if c}
+    assert g2(t).trunc == h2(t).trunc == t
+    assert [g[k] for k in range(3)] == [1, -8, 44] and [h[k] for k in range(3)] == [1, -16, 128]
 
 
 def test_eisenstein_e4_is_divisor_power_sum():
@@ -143,6 +177,17 @@ def test_g2_h2_against_theta_quotients():
     rhs = theta2(T) ** 4
     assert lhs.agrees_with(rhs, upto=min(lhs.trunc, rhs.trunc))
     assert (h2(T) * t3_4).agrees_with(theta4(T) ** 4, upto=T)
+
+
+def test_delta8_ratio_is_the_theta_basis_step():
+    # r = delta8 / theta3^8 = g2 h2 / 16, integral, cut at each truncation
+    for t in (8, 9, 33, T, 177):
+        r = delta8_ratio(t)
+        assert r.trunc == t and all(type(c) is int for c in r.terms.values())
+        assert (r * theta3(t) ** 8).truncate(t) == delta8(t)
+        assert g2(t) * h2(t) == 16 * r
+    assert [delta8_ratio(T).coeff(4 * m) for m in range(4)] == [0, 1, -24, 300]
+    assert delta8_ratio(400).truncate(101) == delta8_ratio(101)
 
 
 def test_theta_product_substitution():
@@ -249,6 +294,37 @@ def test_pow_checks_each_division_of_the_recurrence():
     a._ints = (1, [(0, 1), (4, Fraction(1, 3))])
     with pytest.raises(AssertionError, match="inexact"):
         a ** 2
+
+
+def test_negative_powers_invert_the_positive_ones():
+    # a unit (constant +-1 once cleared) has integral inverse powers
+    rng = random.Random(31)
+    units = [theta3(97), theta4(97), theta4(49).subs_q2().truncate(97)]
+    for _ in range(20):
+        terms = {e: rng.randrange(-9, 10) for e in rng.sample(range(1, 60), 6)}
+        units.append(QSeries({0: rng.choice((1, -1)), **terms}, 60))
+    # over den 6: a constant 1/6 clears to the numerator 1
+    units.append(QSeries({0: Fraction(1, 6), 4: Fraction(1, 3), 12: Fraction(-1, 2)}, 61))
+    for f in units:
+        for k in (1, 2, 4, 7, 8):
+            inv = _power(f, -k)
+            assert inv.trunc == f.trunc
+            assert all(type(c) is int for c in inv.terms.values()), (f, k)
+            assert inv * f ** k == QSeries.one(f.trunc), (f, k)
+        assert _power(f, -3) == _power(f, -1) ** 3
+    assert _power(units[-1], -1).coeff(0) == 6
+
+
+def test_negative_powers_need_a_unit():
+    with pytest.raises(ValueError, match="valuation 0"):
+        _power(theta2(40), -1)
+    with pytest.raises(ValueError, match="constant term"):
+        _power(QSeries({0: 2, 4: 1}, 40), -1)
+    with pytest.raises(ValueError, match="valuation 0"):
+        _power(QSeries({}, 40), -2)
+    # the operator keeps its contract: nonnegative powers only
+    with pytest.raises(TypeError):
+        QSeries.one(5) ** -1
 
 
 def test_subs_q2_is_a_ring_map():
