@@ -43,13 +43,13 @@ from .linalg import (
     as_fraction,
     clear_denominators,
     det_bareiss,
+    gauss_solve,
     gf2_inverse,
     identity,
     int_matmul,
     integral_gso,
     lll_reduce_gram,
     mat_frac,
-    mat_inverse,
     parity_kernel_basis,
     transpose,
     vecmat,
@@ -124,7 +124,6 @@ class Lattice:
                     )
         self.int_gens = int_gens
         self.name = name
-        self._det = None
         self._reduced = None
 
     @cached_property
@@ -144,10 +143,8 @@ class Lattice:
         return len(self.int_gram[1])
 
     def det(self) -> Fraction:
-        if self._det is None:
-            dg, gi = self.int_gram
-            self._det = Fraction(det_bareiss(gi), dg ** self.dim)
-        return self._det
+        dg, gi = self.int_gram
+        return Fraction(det_bareiss(gi), dg ** self.dim)
 
     def is_integral(self) -> bool:
         return self.int_gram[0] == 1
@@ -203,18 +200,19 @@ def zn(n: int) -> Lattice:
 
 
 def check_unimodular(L: Lattice) -> str:
-    """Classify L: returns 'odd', 'even', or 'not-unimodular(detail)'."""
+    """Classify L: 'odd', 'even' or 'not-unimodular(detail)'.  One
+    `integral_gso` pass, no LLL: it raises unless L is positive definite,
+    and its last leading minor is the determinant."""
     dg, g = L.int_gram
     if dg != 1:
         i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x % dg)
         return f"not-unimodular(non-integral entry {Fraction(g[i][j], dg)} at ({i},{j}))"
     try:
-        _reduced_data(L)
+        det = integral_gso(g)[0][-1]
     except ValueError:
         return "not-unimodular(not positive definite)"
-    d = L.det()
-    if d != 1:
-        return f"not-unimodular(det={d})"
+    if det != 1:
+        return f"not-unimodular(det={det})"
     if any(g[i][i] & 1 for i in range(L.dim)):
         return "odd"
     return "even"
@@ -274,10 +272,9 @@ def shadow_cosets(L: Lattice) -> tuple[Coset, Coset]:
     w = reduce(xor, [inv[i] for i in odd])
     half_w = [Fraction(w >> i & 1, 2) for i in range(n)]
     L0 = even_sublattice(L)
-    Einv = mat_inverse(_even_coords(L))
-    x0 = [Fraction(1) if i == odd[0] else Fraction(0) for i in range(n)]
-    t1 = vecmat(half_w, Einv)
-    t2 = vecmat([a + b for a, b in zip(half_w, x0)], Einv)
+    # the offsets t E = w/2 and w/2 + e_p, E L0's basis rows: one solve
+    rhs = [[h, h + (i == odd[0])] for i, h in enumerate(half_w)]
+    t1, t2 = transpose(gauss_solve(transpose(_even_coords(L)), rhs))
     c1, c2 = Coset(L0, t1), Coset(L0, t2)
     assert not c1.is_lattice() and not c2.is_lattice()
     return c1, c2
@@ -295,13 +292,12 @@ def _reduced_data(L: Lattice):
     the fraction-free Gram-Schmidt table of the reduced integer Gram,
     m[i] = M / (d[i-1] d[i]) for the common budget denominator M, least the
     smallest diagonal entry of the reduced integer Gram and step the gcd of
-    its G_ii and 2 G_ij (see `_grid_radius`).
+    its G_ii and 2 G_ij (see `_grid_radius`).  The LLL hands over d/lam.
     """
     if L._reduced is not None:
         return L._reduced
     dmul, gint = L.int_gram
-    gred, U, Uinv = lll_reduce_gram(gint, Fraction(99, 100))
-    d, lam = integral_gso(gred)
+    gred, U, Uinv, d, lam = lll_reduce_gram(gint, Fraction(99, 100))
     pairs = [(d[i - 1] if i else 1) * d[i] for i in range(len(d))]
     M = lcm(*pairs)
     m = [M // p for p in pairs]
@@ -761,16 +757,16 @@ def lattice_to_json_dict(L: Lattice) -> dict:
 
 
 def lattice_from_json_dict(d: dict) -> Lattice:
+    gens = None
+    scale = Fraction(1)
     try:
         dim = int(d["dim"])
         gram = [[parse_rat(x) for x in row] for row in d["gram"]]
+        if "generators" in d:
+            gens = [[parse_rat(x) for x in row] for row in d["generators"]]
+            scale = parse_rat(d.get("scale_sq", 1))
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid lattice file: {exc}") from exc
     if len(gram) != dim or any(len(r) != dim for r in gram):
         raise ValueError(f"invalid lattice file: gram must be {dim}x{dim}")
-    gens = None
-    scale = Fraction(1)
-    if "generators" in d:
-        gens = [[parse_rat(x) for x in row] for row in d["generators"]]
-        scale = parse_rat(d.get("scale_sq", 1))
     return Lattice(gram, gens=gens, scale_sq=scale, name=str(d.get("name", "")))

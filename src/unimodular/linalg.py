@@ -209,15 +209,15 @@ def integral_gso(g):
 def lll_reduce_gram(g, delta=Fraction(3, 4)):
     """LLL-reduce a positive definite rational Gram matrix.
 
-    Returns (g_red, u, u_inv) with g_red = u g u^T, u unimodular over Z and
-    u_inv its inverse.  Works on the Gram matrix alone (no coordinates
-    needed).  This is Cohen's integral LLL (A Course in Computational
-    Algebraic Number Theory, Alg. 2.6.7): after clearing denominators the
-    fraction-free Gram-Schmidt data d/lam of `integral_gso` is updated in
-    place by each size reduction and swap.  Row k is size-reduced against
-    rows k-1, ..., 0 (rounding half to even) before the Lovasz test
-    d_k d_{k-2} + lam^2 >= delta d_{k-1}^2.  Raises ValueError unless g is
-    positive definite.
+    Returns (g_red, u, u_inv, d, lam): g_red = u g u^T, u unimodular over
+    Z, u_inv its inverse, and d/lam the `integral_gso` table of den g_red,
+    den the lcm of g's denominators.  Works on the Gram matrix alone.  This
+    is Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): after clearing denominators the table is updated
+    in place by each size reduction and swap, so it is current on return.
+    Row k is size-reduced against rows k-1, ..., 0 (rounding half to even)
+    before the Lovasz test d_k d_{k-2} + lam^2 >= delta d_{k-1}^2.  Raises
+    ValueError unless g is positive definite.
     """
     n = len(g)
     d, lam = integral_gso(clear_denominators(g)[1])
@@ -258,7 +258,7 @@ def lll_reduce_gram(g, delta=Fraction(3, 4)):
         dd[k] = b
         k = max(k - 1, 1)
     g_red = matmul(matmul(u, g), transpose(u))
-    return g_red, u, transpose(vt)
+    return g_red, u, transpose(vt), dd[1:], lam
 
 
 def hnf_rows(rows):

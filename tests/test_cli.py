@@ -275,6 +275,31 @@ def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [
+    {"generators": 5},
+    {"generators": None},
+    {"generators": [5]},
+    {"generators": [[1], 5]},
+    {"generators": [[1]], "scale_sq": None},
+    {"generators": [[1]], "scale_sq": [1]},
+])
+def test_bad_generators_are_an_invalid_lattice_file(tmp_path, capsys, extra):
+    # generators and scale_sq are read inside the file check: a TypeError
+    # there once escaped as a traceback with exit status 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 1, "gram": [[1]], **extra}))
+    code, out, err = run(capsys, "verify", "--lattice", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid lattice file: ") and len(err.splitlines()) == 1
+
+
+def test_verify_fails_an_indefinite_gram(tmp_path, capsys):
+    path = _gram_file(tmp_path, [[2, 1, 0], [1, 1, 0], [0, 0, -1]])
+    code, out, err = run(capsys, "verify", "--lattice", path)
+    assert code == 2 and err == ""
+    assert out == "FAIL: %s is not-unimodular(not positive definite)\n" % path
+
+
 @pytest.mark.parametrize("argv, gram, line", [
     (["construct", "glue", "--base", "{file}", "--images", "1"], [[2]],
      "double(L): dim 2, not unimodular (det=4)"),

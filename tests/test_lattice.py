@@ -9,7 +9,12 @@ from fractions import Fraction
 import pytest
 
 from unimodular import lattice
-from unimodular.constructions import a15_plus_fixture, d16_plus_fixture
+from unimodular.constructions import (
+    a15_plus_fixture,
+    build_shave29,
+    build_shave31,
+    d16_plus_fixture,
+)
 from unimodular.lattice import (
     Coset,
     Lattice,
@@ -34,6 +39,7 @@ from unimodular.linalg import (
     det_frac,
     hnf_rows_frac,
     identity,
+    lll_reduce_gram,
     mat_frac,
     mat_inverse,
     matmul,
@@ -622,6 +628,65 @@ def test_check_unimodular_rejections():
     assert check_unimodular(Lattice([[Fraction(1, 2)]])).startswith(
         "not-unimodular(non-integral"
     )
+    for gram in ([[1, 2], [2, 1]],  # det -3
+                 [[1, 1], [1, 1]],  # det 0
+                 [[-1]],
+                 [[2, 1, 0], [1, 1, 0], [0, 0, -1]]):  # det -1, indefinite
+        assert check_unimodular(Lattice(gram)) == "not-unimodular(not positive definite)"
+
+
+def _sheared(rng, g):
+    """u g u^T for a random unimodular u, a product of row additions."""
+    n = len(g)
+    u = identity(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        q = rng.choice((-2, -1, 1, 2))
+        if i != j:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return matmul(matmul(u, g), transpose(u))
+
+
+def _random_symmetric_gram(rng, n):
+    """An integer symmetric matrix of one of three kinds: unconstrained
+    (often indefinite), a a^T + shift (positive definite, any det), or a
+    sheared Z^n or E8 (det 1)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        return [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == 1:
+        a = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        g = matmul(a, transpose(a))
+        for i in range(n):
+            g[i][i] += rng.randrange(0, 3)
+        return g
+    return _sheared(rng, e8_lattice().int_gram[1] if n == 8 else identity(n))
+
+
+def test_check_unimodular_matches_det_and_lll_oracle():
+    # one Gram-Schmidt pass gives the verdict that LLL's positive
+    # definiteness gate and the Bareiss determinant give
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        g = _random_symmetric_gram(rng, n)
+        L = Lattice(g)
+        try:
+            lll_reduce_gram(g)
+        except ValueError:
+            want = "not-unimodular(not positive definite)"
+        else:
+            det = L.det()
+            if det != 1:
+                want = f"not-unimodular(det={det})"
+            else:
+                want = "odd" if any(g[i][i] % 2 for i in range(n)) else "even"
+        assert check_unimodular(L) == want
+        seen.add(want.split("=")[0])
+    assert seen == {"not-unimodular(not positive definite)", "not-unimodular(det",
+                    "odd", "even"}
 
 
 def test_int_forms_are_kept_from_the_constructor():
@@ -751,6 +816,30 @@ def test_shadow_of_zn_is_half_integer_grid():
         s = shadow_by_enumeration(zn(n), 3)
         expect = theta2(s.trunc) ** n
         assert s.agrees_with(expect, upto=min(s.trunc, expect.trunc))
+
+
+def _shadow_offsets_by_inverse(L):
+    """The two shadow offsets t = v E^-1 for v = w/2 and w/2 + e_p, with E
+    L0's basis rows, E^-1 a Fraction inverse, w = G^-1 diag(G) mod 2 read
+    off the rational inverse of G and p the first odd diagonal entry."""
+    g = L.gram
+    n = L.dim
+    ginv = mat_inverse(g)
+    w = [sum(ginv[i][j] * g[j][j] for j in range(n)) % 2 for i in range(n)]
+    p = next(i for i in range(n) if g[i][i] % 2)
+    einv = mat_inverse(lattice._even_coords(L))
+    v1 = [x / 2 for x in w]
+    v2 = [x + (i == p) for i, x in enumerate(v1)]
+    return [[sum(v[i] * einv[i][j] for i in range(n)) for j in range(n)] for v in (v1, v2)]
+
+
+def test_shadow_cosets_offsets_match_a_fraction_inverse(rm32_lattice, glue30):
+    rng = random.Random(31)
+    lattices = [a15_plus_fixture(), build_shave29(), build_shave31(), glue30, rm32_lattice]
+    lattices += [Lattice(_sheared(rng, identity(rng.randrange(1, 13)))) for _ in range(40)]
+    for L in lattices:
+        c1, c2 = shadow_cosets(L)
+        assert [c1.offset, c2.offset] == _shadow_offsets_by_inverse(L)
 
 
 def test_shadow_cosets_structure():

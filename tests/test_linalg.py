@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from unimodular.linalg import (
+    clear_denominators,
     det_bareiss,
     det_frac,
     gauss_solve,
@@ -359,7 +360,7 @@ def test_lll_reduce_gram_invariants():
         n = rng.randrange(2, 6)
         g0 = _random_pd_gram(rng, n)
         g = _sheared(rng, g0)
-        g_red, u, u_inv = lll_reduce_gram(g)
+        g_red, u, u_inv, _, _ = lll_reduce_gram(g)
         assert abs(det_bareiss(u)) == 1
         assert matmul(matmul(u, [[Fraction(x) for x in r] for r in g]), transpose(u)) == g_red
         assert det_frac(g_red) == det_frac(g)
@@ -384,7 +385,7 @@ def _check_lll_against_reference(delta, trials):
             g = _sheared(rng, _random_rational_gram(rng, n))
         else:
             g = _sheared(rng, _random_pd_gram(rng, n))
-        g_red, u, u_inv = lll_reduce_gram(g, delta)
+        g_red, u, u_inv, _, _ = lll_reduce_gram(g, delta)
         assert (g_red, u) == _lll_reference(g, delta)
         assert matmul(u, u_inv) == identity(n)
         # size-reduced and Lovasz, checked on a rational Gram-Schmidt table
@@ -394,6 +395,26 @@ def _check_lll_against_reference(delta, trials):
                 assert abs(mu[i][j]) <= Fraction(1, 2)
         for k in range(1, n):
             assert bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]
+
+
+def test_lll_reduce_gram_hands_over_its_gram_schmidt_table():
+    # the d/lam table the LLL updates through every size reduction and swap
+    # equals a fresh integral_gso of the reduced Gram, cleared by g's
+    # denominator
+    rng = random.Random(73)
+    moved = 0
+    for delta in (Fraction(3, 4), Fraction(99, 100)):
+        for n in range(1, 9):
+            for rational in (False, True) * 3:
+                g = _random_rational_gram(rng, n) if rational else _random_pd_gram(rng, n)
+                if n > 1:
+                    g = _sheared(rng, g)
+                g_red, u, _, d, lam = lll_reduce_gram(g, delta)
+                den = clear_denominators(g)[0]
+                cleared = [[int(den * x) for x in row] for row in g_red]
+                assert (d, lam) == integral_gso(cleared)
+                moved += u != identity(n)
+    assert moved > 50  # most of the Grams were not reduced to begin with
 
 
 def test_lll_reduce_gram_rejects_indefinite():

@@ -146,7 +146,9 @@ def test_cusp_delta24_matches_eta_power():
 @pytest.mark.parametrize("series, lowest", [
     (delta8, 8), (g2, 8), (h2, 8), (cusp_delta24, 9)])
 def test_product_series_agree_across_truncations(series, lowest):
-    # each factor, inverse and leading monomial is cut at its own window
+    # each is a product of Miller powers of the sparse thetas (Delta24: x
+    # times a power of Euler's pentagonal series), built at its own window:
+    # its terms below t must not depend on that window
     full = series(400)
     for t in range(lowest, 101):
         assert series(t) == full.truncate(t)
