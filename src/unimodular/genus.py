@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .linalg import gauss_solve
 from .qseries import QSeries, combine, g2, power_chain, rat_str, theta3
@@ -76,7 +76,9 @@ def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
     The rows and the average both read the chain theta3^n g2^j (m
     products after theta3^n, which the power recurrence builds without
     a product); h2^j = (1 - g2)^j is folded into exact
-    coefficients of g2^k, so no h2 series and no final product is built.
+    coefficients e_k of g2^k, so no h2 series and no final product is
+    built.  The e_k are summed in ints over the common denominator of the
+    c_j and divided once.
     """
     if n <= 4:
         raise ValueError("the average theta formula needs dimension > 4")
@@ -109,9 +111,12 @@ def solve_cj(n: int, verify_extra: int = 1) -> AverageTheta:
             "surplus average-theta relation failed at i=%d" % i)
 
     # h2 = 1 - g2, so sum_j c_j (g2^j + h2^j) = sum_k e_k g2^k with
-    # e_k = c_k + (-1)^k sum_{j>=k} C(j,k) c_j
-    e = [ck + (-1) ** k * sum(comb(j, k) * c[j] for j in range(k, m + 1))
-         for k, ck in enumerate(c)]
+    # e_k = c_k + (-1)^k sum_{j>=k} C(j,k) c_j, summed in ints over the
+    # common denominator of the c_j and divided once
+    den = lcm(*(x.denominator for x in c))
+    num = [x.numerator * (den // x.denominator) for x in c]
+    e = [Fraction(nk + (-1) ** k * sum(comb(j, k) * num[j] for j in range(k, m + 1)), den)
+         for k, nk in enumerate(num)]
     series = combine(e, basis)
     assert series.coeff(0) == 1
     return AverageTheta(n, c, series)

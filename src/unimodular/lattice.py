@@ -756,14 +756,24 @@ def lattice_to_json_dict(L: Lattice) -> dict:
     return out
 
 
+def _rat_rows(rows) -> list[list[Fraction]]:
+    """A JSON list of lists of exact rationals; a string row is not read
+    digit by digit."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError(f"expected a list of lists, not {rows!r}")
+    return [[parse_rat(x) for x in row] for row in rows]
+
+
 def lattice_from_json_dict(d: dict) -> Lattice:
     gens = None
     scale = Fraction(1)
     try:
-        dim = int(d["dim"])
-        gram = [[parse_rat(x) for x in row] for row in d["gram"]]
+        dim = d["dim"]
+        if type(dim) is not int:  # bool is an int subclass, and not a dimension
+            raise TypeError(f"dim must be an integer, not {dim!r}")
+        gram = _rat_rows(d["gram"])
         if "generators" in d:
-            gens = [[parse_rat(x) for x in row] for row in d["generators"]]
+            gens = _rat_rows(d["generators"])
             scale = parse_rat(d.get("scale_sq", 1))
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid lattice file: {exc}") from exc

@@ -14,10 +14,12 @@ a zero is never stored.  Almost every series the engines build is
 integral (theta2, theta3, theta4, delta8, g2, h2, E4, Delta24 and their
 products), so the arithmetic runs on ints: a product clears each factor
 to integer numerators over one common denominator, convolves in ints and
-divides once.  Each series clears itself once, on first use, and keeps
-the cleared form, so a cached basis series is not cleared again by every
-product and combination it enters; a product, power or combination
-divided by 1 is made with its cleared form, so it is never scanned.
+divides once; a rational scalar p/q scales the cleared numerators by p
+and the denominator by q, one int pass.  Each series clears itself once,
+on first use, and keeps the cleared form, so a cached basis series is
+not cleared again by every product and combination it enters; a product,
+power or combination divided by 1 is made with its cleared form, so it
+is never scanned.
 There is no floating point: a float coefficient, exponent or truncation
 is a TypeError, and `QSeries.coeff` returns a Fraction, so dividing what
 it returns stays exact.
@@ -28,8 +30,10 @@ exponent grid, in ints with exact divisions, for any k when f is a unit
 (constant term +-1 once cleared).  That costs O(T * #terms) for T
 coefficients, so the sparse thetas and Euler's pentagonal series reach
 any power, theta3's negative ones too, without a dense product; each
-classical quotient then costs one product.  A dense series is raised along
-a product chain (`power_chain`), one product per power.
+classical quotient then costs one product, and delta8 / theta3^8, the
+theta basis's step, is one product of two such powers by Jacobi's
+identity.  A dense series is raised along a product chain
+(`power_chain`), one product per power.
 """
 
 from __future__ import annotations
@@ -51,9 +55,12 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s) -> Fraction:
-    """Parse 'p' or 'p/q' (or an int) into a Fraction."""
+    """Parse 'p' or 'p/q' (or an int) into a Fraction.  A float or a bool
+    is a TypeError: neither is an exact rational as written."""
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, (bool, float)):
+        raise TypeError("%r is not an exact rational" % (s,))
     if isinstance(s, int):
         return Fraction(s)
     try:
@@ -213,9 +220,13 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = _exact(other)
-            terms = {e: _exact(c * k) for e, c in self.terms.items()} if k else {}
-            return QSeries._make(terms, self.trunc)
+            # k = p/q scales the cleared numerators by p and the denominator
+            # by q: one int pass, divided once
+            p = other.numerator
+            if not p:
+                return QSeries._make({}, self.trunc)
+            den, nums = self._cleared()
+            return _from_nums(((e, c * p) for e, c in nums), den * other.denominator, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
@@ -404,7 +415,9 @@ def power_basis(a: QSeries, top: int, step: int, bpowers, trunc: int) -> list[QS
 # All constructors take the truncation in quarters and build integer
 # coefficients.  The theta series are read off their exponents; every other
 # classical series is a quotient of thetas or a power of Euler's pentagonal
-# series, so it costs powers by `_power` and at most two products.
+# series, so it costs powers by `_power` and at most one product:
+# delta8 / theta3^8 is the product of the powers q J^4 and theta3^-12 of
+# two sparse series, with no delta8 built.
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +454,8 @@ def theta2(trunc: int) -> QSeries:
 def delta8(trunc: int) -> QSeries:
     """delta8 = theta2^4 theta4^4 / 16 = q prod_m (1-q^(2m-1))^8 (1-q^(4m))^8
     = q - 8q^2 + 28q^3 - ..., the weight-4 form for the theta expansion of
-    odd unimodular lattices."""
+    odd unimodular lattices.  The engines use it through `delta8_ratio`,
+    which does not build it, so it is that ratio's independent check."""
     if trunc < 8:
         raise ValueError("truncation too small for delta8")
     return (theta2(trunc) ** 4).truncate(trunc) * theta4(trunc) ** 4 * Fraction(1, 16)
@@ -450,8 +464,22 @@ def delta8(trunc: int) -> QSeries:
 @lru_cache(maxsize=None)
 def delta8_ratio(trunc: int) -> QSeries:
     """delta8 / theta3^8 = g2 h2 / 16 = q - 24q^2 + ..., the step of the
-    theta basis: delta8^j theta3^(n-8j) = theta3^n (delta8 / theta3^8)^j."""
-    return delta8(trunc) * _power(theta3(trunc), -8)
+    theta basis: delta8^j theta3^(n-8j) = theta3^n (delta8 / theta3^8)^j.
+
+    By Jacobi's identity theta2 theta3 theta4 = 2 q^(1/4) J with
+    J = prod_m (1-q^(2m))^3 = sum_m (-1)^m (2m+1) q^(m(m+1)) (SPLAG ch. 4,
+    4.1), delta8 = q J^4 / theta3^4, so the ratio is q J^4 theta3^-12.
+    q^(1/4) J = sum_m (-1)^m (2m+1) q^((2m+1)^2/4) lies on theta2's
+    exponents, and its 4th power is q J^4: two power passes over sparse
+    series and one product, no delta8 built."""
+    if trunc < 8:
+        raise ValueError("truncation too small for delta8")
+    # the 4th power of a series of valuation 1/4 is known 3/4 further
+    terms, m = {}, 0
+    while (2 * m + 1) ** 2 < trunc - 3:
+        terms[(2 * m + 1) ** 2] = (-1) ** m * (2 * m + 1)
+        m += 1
+    return _power(QSeries._make(terms, trunc - 3), 4) * _power(theta3(trunc), -12)
 
 
 @lru_cache(maxsize=None)

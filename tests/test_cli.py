@@ -230,8 +230,10 @@ def test_cli_error_paths(capsys):
 
 
 def _gram_file(tmp_path, gram):
+    """A lattice file holding the Gram matrix `gram`, or the dict `gram`
+    itself when the case needs a field other than the Gram."""
     path = tmp_path / "gram.json"
-    path.write_text(json.dumps({"dim": len(gram), "gram": gram}))
+    path.write_text(json.dumps(gram if isinstance(gram, dict) else {"dim": len(gram), "gram": gram}))
     return str(path)
 
 
@@ -262,6 +264,14 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     # no doubling map has a minimum below 1
     (["construct", "glue", "--base", "a15+", "--target", "-5"], None, 2),
     (["construct", "glue", "--base", "a15+", "--target", "0"], None, 2),
+    # dim must be a JSON integer and Gram entries exact: int() once read
+    # 1.9 and true as dimension 1, and parse_rat read 1.0 as 1
+    (["verify", "--lattice", "{file}"], {"dim": 1.9, "gram": [[1]]}, 2),
+    (["verify", "--lattice", "{file}"], {"dim": True, "gram": [[1]]}, 2),
+    (["verify", "--lattice", "{file}"], {"dim": "1", "gram": [[1]]}, 2),
+    (["verify", "--lattice", "{file}"], [[1.0]], 2),
+    # a string row was read digit by digit, "10", "01" as Z^2
+    (["verify", "--lattice", "{file}"], ["10", "01"], 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:
@@ -282,6 +292,7 @@ def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     {"generators": [[1], 5]},
     {"generators": [[1]], "scale_sq": None},
     {"generators": [[1]], "scale_sq": [1]},
+    {"generators": ["1"]},
 ])
 def test_bad_generators_are_an_invalid_lattice_file(tmp_path, capsys, extra):
     # generators and scale_sq are read inside the file check: a TypeError

@@ -1,10 +1,11 @@
 """Genus-average theta series and the mass-based class count bound."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from unimodular import genus
 from unimodular.genus import genus_mass, mass_count_bound, solve_cj
 from unimodular.qseries import QSeries, eisenstein_e4, g2, h2, theta2, theta3, theta4
 
@@ -169,6 +170,21 @@ def test_solve_matches_the_product_chain_construction(monkeypatch):
     got = solve_all()
     monkeypatch.setattr(QSeries, "__pow__", _binary_pow)
     assert solve_all() == got
+
+
+def test_folded_coefficients_match_the_fraction_formula(monkeypatch):
+    # the e_k that fold h2 = 1 - g2 into powers of g2, summed in ints over
+    # one denominator, against the formula summed in Fractions
+    folded = []
+    combine = genus.combine
+    monkeypatch.setattr(genus, "combine",
+                        lambda coeffs, basis: folded.append(coeffs) or combine(coeffs, basis))
+    for n in range(5, 49):
+        folded.clear()
+        c, m = solve_cj(n).c, n // 4
+        want = [c[k] + (-1) ** k * sum(comb(j, k) * c[j] for j in range(k, m + 1))
+                for k in range(m + 1)]
+        assert folded == [want], n
 
 
 def test_g2_builds_no_h2():

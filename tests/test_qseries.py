@@ -1,6 +1,7 @@
 """Series ring: independent expansions, classical identities, ring laws."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -190,6 +191,69 @@ def test_delta8_ratio_is_the_theta_basis_step():
         assert g2(t) * h2(t) == 16 * r
     assert [delta8_ratio(T).coeff(4 * m) for m in range(4)] == [0, 1, -24, 300]
     assert delta8_ratio(400).truncate(101) == delta8_ratio(101)
+
+
+def _delta8_over_theta3_8(t):
+    """delta8(t) theta3(t)^-8 without the library's delta8 or powers:
+    theta2^4 theta4^4 / 16 by repeated products of the lattice sums, then
+    divided by theta3^8 in place on the integer-exponent grid."""
+    t2, t3, t4 = (_theta_sum(t, True, False), _theta_sum(t, False, False),
+                  _theta_sum(t, False, True))
+    d8 = (t2 * t2 * t2 * t2 * t4 * t4 * t4 * t4 * Fraction(1, 16)).truncate(t)
+    t3_8 = t3 * t3 * t3 * t3 * t3 * t3 * t3 * t3
+    kmax = (t - 1) // 4
+    den = [t3_8.coeff(4 * k) for k in range(kmax + 1)]  # constant term 1
+    out = [d8.coeff(4 * k) for k in range(kmax + 1)]
+    for k in range(kmax + 1):
+        for i in range(1, k + 1):
+            out[k] -= den[i] * out[k - i]
+    return QSeries({4 * k: c for k, c in enumerate(out)}, t)
+
+
+def test_delta8_ratio_matches_delta8_over_theta3_8():
+    # r = q J^4 theta3^-12 by Jacobi's identity, against delta8 theta3^-8
+    # at every window the engines use and one well past them
+    for t in [*range(8, 201), 401]:
+        assert delta8_ratio(t) == _delta8_over_theta3_8(t), t
+    with pytest.raises(ValueError):
+        delta8_ratio(7)
+
+
+def test_jacobi_j4_is_the_eta_power():
+    # J = sum_m (-1)^m (2m+1) q^(m(m+1)) = prod_m (1-q^(2m))^3, so
+    # J^4 = prod_m (1-q^(2m))^12, expanded here by in-place products
+    kmax = 100
+    j = {}
+    m = 0
+    while m * (m + 1) <= kmax:
+        j[4 * m * (m + 1)] = (-1) ** m * (2 * m + 1)
+        m += 1
+    j4 = QSeries(j, 4 * kmax + 1) ** 4
+    eta = _binomial_product([(m, -1, 12) for m in range(2, kmax + 1, 2)], kmax)
+    assert j4.terms == {4 * k: c for k, c in eta.items() if c}
+    # and r theta3^12 = q J^4: the ratio is built on this J^4
+    t = 4 * kmax + 1
+    lhs = (delta8_ratio(t) * theta3(t) ** 12).truncate(t)
+    assert lhs.terms == {4 * (k + 1): c for k, c in eta.items() if c and 4 * (k + 1) < t}
+
+
+def test_delta8_ratio_makes_one_product(monkeypatch):
+    # J^4 and theta3^-12 are power passes; only their product multiplies
+    products = []
+    mul = QSeries.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, QSeries):
+            products.append((self.trunc, other.trunc))
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+    for t in (8, 9, 65, 177, 401):
+        for cached in (theta2, theta3, theta4, delta8, delta8_ratio):
+            cached.cache_clear()  # count every product the ratio needs
+        products.clear()
+        delta8_ratio(t)
+        assert len(products) == 1, (t, products)
 
 
 def test_theta_product_substitution():
@@ -438,6 +502,39 @@ def test_kernel_matches_fraction_reference():
         basis = [_kernel_series(rng) for _ in range(rng.randrange(1, 5))]
         coeffs = [rng.choice((0, _random_rational(rng))) for _ in basis]
         _assert_matches(combine(coeffs, basis), _reference_combine(coeffs, basis))
+
+
+def _assert_cleared(s):
+    """The cleared form is (lcm of the denominators, den * c_e) in exponent
+    order, whether the series was made with it or cleared on first use."""
+    den, nums = s._cleared()
+    assert den == math.lcm(*(Fraction(c).denominator for c in s.terms.values()))
+    assert [(e, Fraction(c, den)) for e, c in nums] == list(_ref_terms(s).items())
+    assert all(type(c) is int for _, c in nums)
+
+
+def test_scalar_product_fuzz():
+    # the scalar branch scales the cleared numerators in one int pass;
+    # the oracle multiplies term by term in Fractions
+    rng = random.Random(24)
+    scalars = (0, 1, -1, 16, -48, 16 ** 3 * 1155, Fraction(1, 16), Fraction(-1, 16),
+               Fraction(-7, 16), Fraction(5, 3), Fraction(-256, 3), Fraction(0, 5))
+    for _ in range(200):
+        a = _kernel_series(rng)
+        if rng.random() < 0.5:  # integral, the engines' usual case
+            a = QSeries({e: Fraction(c).numerator for e, c in a.terms.items()}, a.trunc)
+        if rng.random() < 0.5:
+            a._cleared()  # scale a series that already holds its cleared form
+        k = rng.choice((*scalars, _random_rational(rng)))
+        ref = {e: Fraction(k) * c for e, c in _ref_terms(a).items() if k}
+        for r in (a * k, k * a):
+            _assert_matches(r, (ref, a.trunc))
+            _assert_cleared(r)
+            for copied in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                _assert_matches(copied, (ref, a.trunc))
+                assert copied == r and hash(copied) == hash(r)
+                _assert_cleared(copied)
+        assert (a * k) * k == a * (Fraction(k) * k)
 
 
 def test_kernel_divides_back_to_integers():
