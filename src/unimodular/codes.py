@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import Lattice
-from .linalg import hnf_rows, int_matmul, transpose
+from .linalg import hnf_rows
 
 MAX_ENUM_DIM = 28  # weight enumerators walk all 2^k codewords
 
@@ -193,6 +193,4 @@ def code_to_odd_lattice(code: BinaryCode) -> Lattice:
     rows.append(r)
     basis = hnf_rows(rows)
     assert len(basis) == n
-    gram = int_matmul(basis, transpose(basis))
-    return Lattice.from_ints((8, gram), (1, basis), scale_sq=Fraction(1, 8),
-                             name=f"L({code.name})")
+    return Lattice.from_ints(None, (1, basis), scale_sq=Fraction(1, 8), name=f"L({code.name})")

@@ -79,12 +79,11 @@ def d16_plus_fixture() -> Lattice:
 
 def _span_lattice(rows, den: int, dim: int, name: str) -> Lattice:
     """The lattice spanned by the rows / den, for integer rows of rank dim:
-    with H the HNF of the rows, its generators are H / den and its Gram
-    H H^T / den^2, made in ints."""
+    with H the HNF of the rows, its generators are H / den, from which
+    `Lattice.from_ints` makes its Gram H H^T / den^2."""
     basis = hnf_rows(rows)
     assert len(basis) == dim
-    return Lattice.from_ints((den * den, int_matmul(basis, transpose(basis))), (den, basis),
-                             name=name)
+    return Lattice.from_ints(None, (den, basis), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +388,11 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     Everything runs on ints: the HNF basis B = [B_l | B_r] of the glue
     rows and the rows (0, 2e_j), which span the doubled base too, the
     integer Gram G and the cleared generators `L.int_gens` = (dG, Gi).
-    The Gram is (B_l G B_l^T + B_r G B_r^T) / 2 and the generators are
-    [B_l Gi | B_r Gi] / dG, handed to `Lattice.from_ints`, which brings
-    the Gram to lowest terms: over 1 when every entry of the sum is even,
-    as it is for a mod-2 isometry.
+    When L has generators, the doubled lattice's are [B_l Gi | B_r Gi] / dG
+    with scale_sq L.scale_sq / 2, and `Lattice.from_ints` makes the Gram
+    from them in one product.  Otherwise the Gram is (B_l G B_l^T + B_r G
+    B_r^T) / 2.  Either way `from_ints` brings it to lowest terms: over 1
+    when every entry is even, as it is for a mod-2 isometry.
     """
     images = list(glue.images if isinstance(glue, GlueMap) else glue)
     m = L.dim
@@ -413,16 +413,17 @@ def glue_double(L: Lattice, glue, name: str | None = None) -> Lattice:
     assert prod(basis[i][i] for i in range(2 * m)) == 1 << m
     left = [row[:m] for row in basis]
     right = [row[m:] for row in basis]
-    g = space.g
-    # [B_l G | B_r G] [B_l | B_r]^T, a + b concatenating the halves
-    gram = 2, int_matmul([a + b for a, b in zip(int_matmul(left, g), int_matmul(right, g))],
-                         transpose(basis))
-    gens = None
+    name = name or "double(%s)" % (L.name or "L")
+    # a + b concatenates the halves
     if L.int_gens is not None:
         dG, Gi = L.int_gens
         gens = dG, [a + b for a, b in zip(int_matmul(left, Gi), int_matmul(right, Gi))]
-    return Lattice.from_ints(gram, gens, scale_sq=L.scale_sq / 2,
-                             name=name or "double(%s)" % (L.name or "L"))
+        return Lattice.from_ints(None, gens, scale_sq=L.scale_sq / 2, name=name)
+    g = space.g
+    # [B_l G | B_r G] [B_l | B_r]^T
+    gram = 2, int_matmul([a + b for a, b in zip(int_matmul(left, g), int_matmul(right, g))],
+                         transpose(basis))
+    return Lattice.from_ints(gram, scale_sq=L.scale_sq / 2, name=name)
 
 
 # ---------------------------------------------------------------------------

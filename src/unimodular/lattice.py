@@ -69,24 +69,40 @@ class Lattice:
     on first read (serialization and error text read them).
 
     `Lattice(gram, gens)` takes matrices of ints and Fractions and clears
-    them once; `Lattice.from_ints` takes the integer forms directly.  Both
-    set the forms through `_set_forms`, which runs the checks.  A float
-    entry or scale_sq is a TypeError.
+    them once; `Lattice.from_ints` takes the integer forms directly, and
+    with no Gram makes it from the generators.  Both set the forms through
+    `_set_forms`, which runs the checks, and a Gram and generators given
+    together are checked to agree by `_check_gens`.  A float entry or
+    scale_sq is a TypeError.
     """
 
     def __init__(self, gram, gens=None, scale_sq=1, name=""):
         self._set_forms(clear_denominators(mat_frac(gram)),
                         None if gens is None else clear_denominators(mat_frac(gens)),
                         scale_sq, name)
+        self._check_gens()
 
     @classmethod
     def from_ints(cls, int_gram, int_gens=None, scale_sq=1, name="") -> "Lattice":
         """The lattice with Gram gi / dg and generators Gi / dG for
         int_gram = (dg, gi) and int_gens = (dG, Gi) (or None), integer
-        matrices over positive integer denominators, in any terms."""
+        matrices over positive integer denominators, in any terms.
+
+        With int_gram None the Gram is made from the generators, scale_sq
+        Gi Gi^T / dG^2 as one product over the lowered Gi, and is not
+        checked against them: the two agree by construction.  Builders
+        whose base has generators take this route.
+        """
         L = cls.__new__(cls)
-        L._set_forms(_lowest_terms(*int_gram),
-                     None if int_gens is None else _lowest_terms(*int_gens), scale_sq, name)
+        if int_gram is None:
+            dG, Gi = int_gens = _lowest_terms(*int_gens)
+            p, q = as_fraction(scale_sq).as_integer_ratio()
+            gram = [[p * x for x in row] for row in int_matmul(Gi, transpose(Gi))]
+            L._set_forms(_lowest_terms(q * dG * dG, gram), int_gens, scale_sq, name)
+        else:
+            L._set_forms(_lowest_terms(*int_gram),
+                         None if int_gens is None else _lowest_terms(*int_gens), scale_sq, name)
+            L._check_gens()
         return L
 
     def _set_forms(self, int_gram, int_gens, scale_sq, name):
@@ -109,22 +125,29 @@ class Lattice:
                 raise ValueError("generator count must equal the dimension")
             if not Gi[0] or any(len(row) != len(Gi[0]) for row in Gi):
                 raise ValueError("generator rows must be non-empty and of equal length")
-            # scale * Gi Gi^T / dG^2 == gi / dg over the ints, a row at a
-            # time; both sides are symmetric, so the first mismatch in row
-            # order has j >= i
-            lhs = self.scale_sq.numerator * dg
-            rhs = self.scale_sq.denominator * dG * dG
-            for i, (dots, row) in enumerate(zip(int_matmul(Gi, transpose(Gi)), gi)):
-                left, right = [lhs * x for x in dots], [rhs * x for x in row]
-                if left != right:
-                    j = next(j for j in range(n) if left[j] != right[j])
-                    raise ValueError(
-                        f"generators do not match gram at ({i},{j}): "
-                        f"{self.scale_sq * Fraction(dots[j], dG * dG)} != {Fraction(row[j], dg)}"
-                    )
         self.int_gens = int_gens
         self.name = name
         self._reduced = None
+
+    def _check_gens(self):
+        """ValueError unless scale_sq gens gens^T = gram, for a Gram and
+        generators given together."""
+        if self.int_gens is None:
+            return
+        (dg, gi), (dG, Gi) = self.int_gram, self.int_gens
+        # scale * Gi Gi^T / dG^2 == gi / dg over the ints, a row at a time;
+        # both sides are symmetric, so the first mismatch in row order has
+        # j >= i
+        lhs = self.scale_sq.numerator * dg
+        rhs = self.scale_sq.denominator * dG * dG
+        for i, (dots, row) in enumerate(zip(int_matmul(Gi, transpose(Gi)), gi)):
+            left, right = [lhs * x for x in dots], [rhs * x for x in row]
+            if left != right:
+                j = next(j for j in range(len(gi)) if left[j] != right[j])
+                raise ValueError(
+                    f"generators do not match gram at ({i},{j}): "
+                    f"{self.scale_sq * Fraction(dots[j], dG * dG)} != {Fraction(row[j], dg)}"
+                )
 
     @cached_property
     def gram(self) -> list[list[Fraction]]:
@@ -193,7 +216,7 @@ class Coset:
 
 def zn(n: int) -> Lattice:
     """The cubic lattice Z^n."""
-    return Lattice.from_ints((1, identity(n)), (1, identity(n)), name=f"Z{n}")
+    return Lattice.from_ints(None, (1, identity(n)), name=f"Z{n}")
 
 
 # -- unimodularity -----------------------------------------------------------
@@ -223,17 +246,17 @@ def sublattice(L: Lattice, rows, div: int = 1, name: str = "") -> Lattice:
     independent integer rows R in L's coordinates (so R / div need not lie
     in L: the shave's basis is a projection).
 
-    With L's integer forms gram = gi / dg and gens = Gi / dG, its Gram
-    matrix is R gi R^T / (dg div^2) and its generators R Gi / (dG div),
-    handed to `Lattice.from_ints` as they are.
+    With L's integer forms gram = gi / dg and gens = Gi / dG, its
+    generators are R Gi / (dG div), and `Lattice.from_ints` makes its Gram
+    from them; without generators its Gram is R gi R^T / (dg div^2).
     """
-    dg, g = L.int_gram
-    gram = dg * div * div, int_matmul(int_matmul(rows, g), transpose(rows))
-    gens = None
     if L.int_gens is not None:
         dG, Gi = L.int_gens
-        gens = dG * div, int_matmul(rows, Gi)
-    return Lattice.from_ints(gram, gens, scale_sq=L.scale_sq, name=name)
+        return Lattice.from_ints(None, (dG * div, int_matmul(rows, Gi)),
+                                 scale_sq=L.scale_sq, name=name)
+    dg, g = L.int_gram
+    gram = dg * div * div, int_matmul(int_matmul(rows, g), transpose(rows))
+    return Lattice.from_ints(gram, scale_sq=L.scale_sq, name=name)
 
 
 def even_sublattice(L: Lattice) -> Lattice:
@@ -771,6 +794,9 @@ def lattice_from_json_dict(d: dict) -> Lattice:
         dim = d["dim"]
         if type(dim) is not int:  # bool is an int subclass, and not a dimension
             raise TypeError(f"dim must be an integer, not {dim!r}")
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string, not {name!r}")
         gram = _rat_rows(d["gram"])
         if "generators" in d:
             gens = _rat_rows(d["generators"])
@@ -779,4 +805,4 @@ def lattice_from_json_dict(d: dict) -> Lattice:
         raise ValueError(f"invalid lattice file: {exc}") from exc
     if len(gram) != dim or any(len(r) != dim for r in gram):
         raise ValueError(f"invalid lattice file: gram must be {dim}x{dim}")
-    return Lattice(gram, gens=gens, scale_sq=scale, name=str(d.get("name", "")))
+    return Lattice(gram, gens=gens, scale_sq=scale, name=name)

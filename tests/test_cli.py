@@ -272,6 +272,10 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["verify", "--lattice", "{file}"], [[1.0]], 2),
     # a string row was read digit by digit, "10", "01" as Z^2
     (["verify", "--lattice", "{file}"], ["10", "01"], 2),
+    # a name that is not a string was passed through str() and printed
+    (["verify", "--lattice", "{file}"], {"dim": 1, "gram": [[1]], "name": {"a": 1}}, 2),
+    # generators given with a Gram must agree with it
+    (["verify", "--lattice", "{file}"], {"dim": 1, "gram": [[1]], "generators": [[2]]}, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from unimodular import constructions
+from unimodular import constructions, lattice
 from unimodular.bounds import fit_from_theta, shadow_theta
 from unimodular.codes import code_to_odd_lattice, golay24
 from unimodular.constructions import (
@@ -35,8 +35,10 @@ from unimodular.lattice import (
     Lattice,
     check_unimodular,
     enumerate_short,
+    even_sublattice,
     min_norm,
     shadow_by_enumeration,
+    sublattice,
     theta_by_enumeration,
     verify_min_norm,
     zn,
@@ -45,6 +47,7 @@ from unimodular.linalg import (
     gf2_inverse,
     hnf_rows,
     hnf_rows_frac,
+    int_matmul,
     matmul,
     parity_kernel_basis,
     transpose,
@@ -430,6 +433,83 @@ def test_builds_make_no_fraction_matrix(build):
     assert L.is_integral() and L.det() == 1
     dG, Gi = L.int_gens
     assert L.gens == [[Fraction(x, dG) for x in row] for row in Gi]
+
+
+def _fraction_gram(L):
+    """scale_sq gens gens^T by a plain Fraction triple loop."""
+    gens = L.gens
+    n, width = len(gens), len(gens[0])
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s = Fraction(0)
+            for k in range(width):
+                s += gens[i][k] * gens[j][k]
+            gram[i][j] = L.scale_sq * s
+    return gram
+
+
+def _without_gens(L):
+    """L's Gram alone: a build on it multiplies out R G R^T."""
+    return Lattice.from_ints(L.int_gram, scale_sq=L.scale_sq, name=L.name)
+
+
+def test_grams_from_generators_match_a_fraction_oracle(leech_lattice, rm32_lattice,
+                                                       glue30, glue32):
+    # every build whose base has generators makes its Gram from them
+    a15, d16 = a15_plus_fixture(), d16_plus_fixture()
+    shave29, shave31 = project_shave(glue30, SHAVE_30), project_shave(glue32, SHAVE_32)
+    built = [leech_lattice, rm32_lattice, a15, d16, glue30, glue32, shave29, shave31,
+             even_sublattice(a15)]
+    for L in built:
+        assert L.int_gens is not None
+        assert L.gram == _fraction_gram(L), L.name
+    # the doubling and the sublattice builder agree with R G R^T, the
+    # route of a base without generators
+    for base, images, L in ((a15, GLUE_A15_T3, glue30), (d16, GLUE_D16_T4, glue32)):
+        M = glue_double(_without_gens(base), images, name=L.name)
+        assert M.int_gens is None and M.int_gram == L.int_gram
+    for base, v, L in ((glue30, SHAVE_30, shave29), (glue32, SHAVE_32, shave31)):
+        assert project_shave(_without_gens(base), v).int_gram == L.int_gram
+    assert even_sublattice(_without_gens(a15)).int_gram == even_sublattice(a15).int_gram
+    rng = random.Random(25)
+    for L in (a15, d16, glue30):
+        rows = [[rng.randint(-2, 2) for _ in range(L.dim)] for _ in range(L.dim)]
+        for div in (1, 2, 3):
+            assert (sublattice(L, rows, div).int_gram
+                    == sublattice(_without_gens(L), rows, div).int_gram)
+
+
+def test_generators_that_disagree_with_the_gram_are_refused():
+    # a Gram and generators given together are still checked
+    L = a15_plus_fixture()
+    gens = [row[:] for row in L.gens]
+    gens[3][5] += 1
+    with pytest.raises(ValueError, match="generators do not match gram"):
+        Lattice(L.gram, gens=gens, scale_sq=L.scale_sq)
+    dG, Gi = L.int_gens
+    Gi = [row[:] for row in Gi]
+    Gi[0][0] += 1
+    with pytest.raises(ValueError, match="generators do not match gram"):
+        Lattice.from_ints(L.int_gram, (dG, Gi), scale_sq=L.scale_sq)
+
+
+def test_gram_from_generators_is_one_product(monkeypatch):
+    # from generators alone the Gram is one product and is not re-checked;
+    # given both, the check is one product
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return int_matmul(a, b)
+
+    monkeypatch.setattr(lattice, "int_matmul", counted)
+    gens = (4, [[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    L = Lattice.from_ints(None, gens, scale_sq=Fraction(2, 3))
+    assert calls == [3]
+    assert L.gram == _fraction_gram(L)
+    assert Lattice.from_ints(L.int_gram, gens, scale_sq=Fraction(2, 3)).int_gram == L.int_gram
+    assert calls == [3, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,41 @@ def test_find_any_skips_zero_in_shifted_coset():
     assert c.norm_of(x) == norm
 
 
+def test_find_any_agrees_with_the_count_walk():
+    # find_any finds a nonzero vector exactly when the count walk to the
+    # same norm counts one
+    rng = random.Random(2025)
+    for _ in range(30):
+        L = _random_skewed_lattice(rng, rng.randrange(1, 6))
+        for mu in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(17, 4), 5, 7):
+            r = lattice._grid_radius(L, mu, strict=True)
+            assert (find_any(L, r) is not None) == any(k > 0 for k in enumerate_short(L, r))
+    # on cosets (offsets over 2 and 3) its vector is one the collect walk
+    # finds
+    for _ in range(30):
+        n = rng.randrange(1, 5)
+        L = _random_skewed_lattice(rng, n)
+        c = Coset(L, [Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))) for _ in range(n)])
+        R = rng.randrange(1, 6)
+        hit = find_any(c, R)
+        _, vecs = enumerate_short(c, R, collect=True)
+        if hit is None:
+            assert all(c.norm_of(v) == 0 for v in vecs)
+        else:
+            norm, x = hit
+            assert 0 < norm == c.norm_of(x) <= R and tuple(x) in vecs
+
+
+def test_find_any_stops_at_the_first_hit():
+    # on Z^8 below 2 the walk stops at the first unit vector, one node per
+    # level, and keeps no memo
+    z8 = zn(8)
+    _, vecs, _, st = lattice._enum(z8, lattice._grid_radius(z8, 2, strict=True),
+                                   first_only=True)
+    assert len(vecs) == 1 and sum(map(abs, vecs[0])) == 1
+    assert sum(st.nodes) <= z8.dim + 1 and st.lookups == 0
+
+
 # ---------------------------------------------------------------------------
 # unimodular structure
 
