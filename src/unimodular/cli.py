@@ -66,7 +66,8 @@ def _load_lattice(spec: str) -> Lattice:
         return zn(int(low[1:]))
     if low.startswith("code:"):
         return codes.code_to_odd_lattice(_load_code(low[5:]))
-    raise CliError("no lattice file or builtin named %r" % spec)
+    raise CliError("no lattice file or builtin named %r (builtins: %s, z<N>, code:<name>)"
+                   % (spec, ", ".join(sorted(_BUILTIN_LATTICES))))
 
 
 def _write_lattice(L: Lattice, path: str) -> None:

@@ -216,10 +216,7 @@ def _coset_minima(L: Lattice, cutoff: int, cap: int) -> bytearray:
     doubled base lattice.
     """
     assert cap == cutoff + 1 and cap < 256
-    mins = class_minima(L, cutoff)  # walk first: the 2^m table is not live during it
-    mt = bytearray([cap]) * (1 << L.dim)
-    for c, u in mins.items():
-        mt[c] = u
+    mt = class_minima(L, cutoff, cap)
     mt[0] = cap
     return mt
 

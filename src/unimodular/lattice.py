@@ -17,21 +17,22 @@ node holds the centres of its level and the levels below as one packed
 int, one fixed-width slot per level with the width derived per walk from
 a bound on every centre, so a child's centres are one big-int
 multiply-add.  When a coset is fixed by negation, only canonical
-representatives are walked and counts are doubled.  A walk that does not
-collect stores the norm histogram of each subtree under an exact key, the
-packed centres reduced in one big-int step per level, and reuses it when
-the subtree repeats.  A lattice walk stops at the last norm the lattice's norm
-grid allows at or below its radius, and a class walk keeps the least norm
-of each class of L/2L: it stores each subtree's class map next to its
-histogram, relative to the parity mask by which reducing the subtree to
-its key flips the classes, as 64-bit words that a repeat flips with one
-big-int xor.
+representatives are walked and counts are doubled.  A count walk stores
+the norm histogram of each subtree under an exact key, the packed centres
+reduced in one big-int step per level, and reuses it when the subtree
+repeats; a certificate's walk below a minimum keeps no memo.  A lattice
+walk stops at the last norm the lattice's norm grid allows at or below its
+radius, and a class walk gathers the classes of L/2L it reaches in runs by
+norm: it stores each subtree's runs next to its histogram, relative to the
+parity mask by which reducing the subtree to its key flips the classes, as
+64-bit words that a repeat flips with one big-int xor.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -386,16 +387,6 @@ class EnumStats:
         return sum(self.level_hits)
 
 
-def _least_norms(runs: dict) -> dict:
-    """{class: least norm} from class runs {norm: array('Q') of classes}:
-    the runs are read in descending norm order, so a class ends with its
-    least norm, one C-level pass per run; each run is dropped once read."""
-    mins = {}
-    for u in sorted(runs, reverse=True):
-        mins.update(zip(runs.pop(u), repeat(u)))
-    return mins
-
-
 def _pack_classes(runs: dict) -> tuple:
     """A subtree's class runs as (classes, groups, count): classes is one
     int whose 64-bit words are the runs, each without repeats, groups the
@@ -431,60 +422,50 @@ def _slot_bits(d, lam, m, top, delta) -> int:
     return max(*rb, *[dl * delta for dl in d]).bit_length() + 1
 
 
-def _enum(target, max_norm, collect=False, first_only=False, classes=False):
+def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo=True):
     """Walk {x + t : x in Z^n, |x + t|^2 <= max_norm} exactly.
 
     Returns (counts, vectors, scale, stats): counts maps scaled integer
-    norms to vector counts (scale M * dmul * delta^2), vectors (when
-    requested) holds integer coordinate rows x in the original basis, mirror
-    pairs expanded, and stats is the walk's EnumStats.  With first_only,
-    stops at the first nonzero vector found.  With classes (lattices of
-    dimension at most 64 only), vectors is instead a dict mapping each
-    mod-2 class of x reached (bit i is x_i mod 2) to the least scaled norm
-    in it.
+    norms to counts (scale M * dmul * delta^2), vectors (when requested)
+    holds integer rows x in the original basis, mirror pairs expanded, and
+    stats is the walk's EnumStats.  With first_only, stops at the first
+    nonzero vector.  With classes (dimension <= 64), vectors is instead
+    the runs {scaled norm: array('Q') of classes}, the class of x being
+    x mod 2 (bit i is x_i): a class reached is in the run of its least
+    norm, maybe in higher runs too.  A lattice walk lowers its radius to
+    the last multiple of the norm step at or below it (`_grid_radius`).
 
-    A lattice walk lowers its radius to the largest multiple of the norm
-    step g at or below it (`_grid_radius`): no norm lies in between.  The
-    class of x = x_red . U is the xor of the parity masks of the rows U[j]
-    with x_red[j] odd; each level passes the class fixed above it down, so
-    a vector costs O(1) on top of its norm.
+    Each node does only the work its mode reads.  In reduced coordinates
+    w = delta * (x + t), w_i = s_i (mod delta), and level i adds
+    m_i * (d_i w_i + c_i)^2 with the centre c_i = sum_{l > i} lam[l][i] w_l.
+    A node at level j holds c_0..c_j as one packed int X, slot i holding
+    c_i + 2^(W-1) in W bits (W from `_slot_bits`, so no slot overflows);
+    its child's centres are X + w_j LP[j], LP[j] the row lam[j][:j]
+    packed the same way.  A class walk passes down the class fixed above,
+    the xor of the parity masks of the rows U[j] with x_red[j] odd.  A
+    collect walk keeps per level the O(n) coordinates xo[j] of
+    x_red[j:] . U[j:]; a first_only walk keeps only w_j and builds x once,
+    for the vector it returns.
 
-    In reduced coordinates w = delta * (x + t), so w_i = s_i (mod delta),
-    and level i contributes m_i * (d_i w_i + c_i)^2 with the centre
-    c_i = sum_{l > i} lam[l][i] w_l.  A node at level j holds the partial
-    centres c_0..c_j of the levels fixed above it as one packed int X,
-    slot i (bits W i .. W i + W - 1) holding c_i + 2^(W-1), the slot width
-    W derived once per walk by `_slot_bits` so that no slot overflows.  A
-    node reads its own centre and its child's with a shift and a mask, and
-    its child's centres are one multiply-add, X + w_j LP[j] with LP[j] the
-    row lam[j][:j] packed the same way.
-
-    A walk that does not collect memoises subtrees: below a node at level
-    j, the histogram {norm of levels <= j: count} depends only on
-    c_0..c_j and the remaining budget, and shifting w_j by delta * k is a
-    bijection of the subtree that keeps every partial norm while adding
-    d_j delta k to c_j and lam[j][l] delta k to each lower c_l.  Reducing
-    c_j modulo d_j delta from the top level down to level 0, correcting
-    the lower centres as it goes, therefore names the subtree exactly: on
-    the packed centres each level is one step, subtracting k times the
-    packed period shift PL[i] = d_i delta e_i + delta lam[i][:i], and the
-    key is (reduced X, budget), its level implied by X's size since every
-    reduced slot is at least 2^(W-1).  A repeated subtree adds its stored
-    histogram shifted by the norm above it.  In a class walk (delta = 1)
-    the reduction shifts x_red[i] by its quotient k_i, which flips the
-    class of every vector of the subtree by the parity mask, the xor of
-    the masks of U[i] over the odd k_i.  A class walk collects classes as
-    runs {norm: array('Q') of classes}, a class possibly in several runs:
-    a leaf adds its two classes (even and odd w_0), each with its least
-    norm.  It stores each subtree's runs (classes of levels <= j xor
-    mask), the same for every subtree with the key, as one int of 64-bit
-    words, each run without repeats, so a stored map holds a class at
-    most once per norm.  A repeated subtree flips all of them by the class
-    fixed above the node and the node's own mask in one big-int xor, and
-    adds each run to the run of its norm shifted by the norm above in one
-    C-level call.  The least norm of each class is resolved once, at the
-    end (`_least_norms`).  Nodes on the zero prefix of a symmetric walk
-    are not memoised (their halving tests the real w = 0).
+    A count or class walk memoises subtrees unless memo is False: below a
+    level-j node the histogram {norm of levels <= j: count} depends only on
+    c_0..c_j and the budget, and shifting w_j by delta * k keeps every
+    partial norm while adding d_j delta k to c_j and lam[j][l] delta k to
+    each lower c_l.  Reducing each c_i modulo d_i delta from level j down,
+    one packed step of k times PL[i] = d_i delta e_i + delta lam[i][:i]
+    per level, names the subtree exactly: the key is (reduced X, budget),
+    its level implied by X's size.  A repeat adds the stored histogram
+    shifted by the norm above.  In a class walk (delta = 1) the reduction
+    flips the subtree's classes by the mask, the xor of the masks of U[i]
+    over the odd k_i.  A leaf adds its two classes (even and odd w_0) with
+    their least norms; a subtree's runs are stored relative to its mask as
+    one int of 64-bit words, each run without repeats, and a repeat flips
+    them by the class above and the mask in one big-int xor and adds each
+    run to its shifted norm's run in one C-level call.  Nodes on the zero
+    prefix of a symmetric walk are not memoised (their halving tests the
+    real w = 0).  A certificate's walk below a minimum passes memo False:
+    it finds only the zero vector, so its subtree histograms are empty and
+    rarely repeat.
     """
     coset = _as_coset(target)
     L = coset.base
@@ -511,8 +492,8 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
         return {}, ({} if classes else [] if collect or first_only else None), 1, stats
     counts: dict[int, int] = {}
     vecs = [] if (collect or first_only) else None
-    mins = {} if classes else None
-    memo = {} if vecs is None else None
+    runs = {} if classes else None
+    memo = {} if memo and vecs is None else None
     nodes, lookups, hits = stats.nodes, stats.level_lookups, stats.level_hits
     period = [dj * delta for dj in d]
     # packed centres: slot i of an int holds c_i + bias in W bits
@@ -523,24 +504,25 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     LP = [sum(lam[j][i] << sh[i] for i in range(j)) for j in range(n)]
     PL = [(period[i] << sh[i]) + delta * LP[i] for i in range(n)]
     stop = []
-    # when collecting or finding, xo[j] holds the original-basis coordinates
-    # of the part x_red[j:] . U[j:] fixed above level j, so each vector costs
-    # O(n); a mirror vector is -x - (2s/delta) . U
-    xo = [None] * n + [[0] * n]
+    # a collect walk's xo[j] is x_red[j:] . U[j:] and a mirror vector is
+    # -x - (2s/delta) . U; a first_only walk's ws[j] is w_j
+    xo = [None] * n + [[0] * n] if collect else None
+    ws = [0] * n if first_only else None
     shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
     # in a class walk, pm[j] is the parity mask of the row U[j]
     pm = [sum((a & 1) << i for i, a in enumerate(row)) for row in U] if classes else None
 
     def emit(wj, u, mult):
-        q = (wj - s[0]) // delta
-        v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
         if collect:
+            q = (wj - s[0]) // delta
+            v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
             vecs.append(v)
             if mult == 2:
                 vecs.append(tuple([-a - b for a, b in zip(v, shift)]))
         elif u:
             # first_only: the first nonzero vector ends the walk
-            vecs.append(v)
+            ws[0] = wj
+            vecs.append(tuple(vecmat([(w - si) // delta for w, si in zip(ws, s)], U)))
             stop.append(True)
 
     def memo_key(j, Y, rem):
@@ -617,8 +599,11 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
                 wj += delta
                 continue
             if vecs is not None:
-                q = (wj - s[j]) // delta
-                xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
+                if collect:
+                    q = (wj - s[j]) // delta
+                    xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
+                else:
+                    ws[j] = wj
             kn = kj if wj & 1 else kc
             child = X + wj * LPj
             if memo is None or on_zero:
@@ -669,42 +654,42 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False):
     first = -hi + ((s[n - 1] + hi) % delta)
     if sym:
         first = max(first, s[n - 1] % delta)
-    level(n - 1, sum(bias << t for t in sh), top, sym, 0, counts, first, hi, 0, mins)
+    level(n - 1, sum(bias << t for t in sh), top, sym, 0, counts, first, hi, 0, runs)
     # level refers to itself: break the cycle so the memo goes on return
     del level
-    if classes:
-        memo = None  # free the stored class maps before the least norms are resolved
-        mins = _least_norms(mins)
-    return counts, (mins if classes else vecs), M * dmul * delta * delta, stats
+    return counts, (runs if classes else vecs), M * dmul * delta * delta, stats
 
 
-def enumerate_short(target, max_norm, collect: bool = False):
+def enumerate_short(target, max_norm, collect: bool = False, memo: bool = True):
     """Count vectors of each exact norm <= max_norm in a lattice or coset.
 
     Returns a dict norm -> count (norm 0 included when the zero vector is in
     the coset).  With collect=True returns (counts, vectors) where vectors
     are integer coordinate rows x in the base basis (the coset element is
-    x + offset), mirror pairs expanded.
+    x + offset), mirror pairs expanded.  With memo=False the walk stores no
+    subtrees (see `_enum`).
     """
-    counts, vecs, scale, _ = _enum(target, max_norm, collect=collect)
+    counts, vecs, scale, _ = _enum(target, max_norm, collect=collect, memo=memo)
     counts = {Fraction(u, scale): cnt for u, cnt in counts.items()}
     return (counts, vecs) if collect else counts
 
 
-def class_minima(L: Lattice, radius) -> dict:
-    """{class: least norm} over the vectors x of norm <= radius of an
-    integral lattice L (dimension at most 64), the class of x being x mod 2
-    with bit i the coordinate x_i; the zero class has norm 0.
+def class_minima(L: Lattice, radius, cap: int) -> bytearray:
+    """A byte table over the 2^dim classes x mod 2 (bit i is x_i) of an
+    integral lattice L: each class's least norm over the x of norm <=
+    radius, and cap where none reaches it.
 
-    One class walk of `_enum`; ValueError unless L is integral, so that
-    every norm is an int.
+    One class walk of `_enum`; then, with the walk's memo gone, one C-level
+    scatter per run, highest norm first, so a class ends with its least
+    norm.  ValueError unless L is integral and every value fits a byte.
     """
     if not L.is_integral():
         raise ValueError("class minima need an integral lattice")
-    _, mins, scale, _ = _enum(L, radius, classes=True)
-    for c, u in mins.items():  # in place: up to 2^dim classes
-        mins[c] = u // scale
-    return mins
+    _, runs, scale, _ = _enum(L, radius, classes=True)
+    table = bytearray([cap]) * (1 << L.dim)
+    for u in sorted(runs, reverse=True):
+        deque(map(table.__setitem__, runs.pop(u), repeat(u // scale)), 0)
+    return table
 
 
 def find_any(target, max_norm):
@@ -724,17 +709,21 @@ def min_norm(L: Lattice) -> Fraction:
 
     The shortest row of the reduced basis has norm `bound`, read off the
     reduced Gram diagonal; the walk only looks strictly below it, and when
-    it finds no nonzero vector there the minimum is the bound itself.
+    it finds no nonzero vector there the minimum is the bound itself.  The
+    walk keeps no memo, as in `has_vector_below`.
     """
     dmul, *_, least, _ = _reduced_data(L)
     bound = Fraction(least, dmul)
-    nz = [k for k in enumerate_short(L, _grid_radius(L, bound, strict=True)) if k > 0]
+    nz = [k for k in enumerate_short(L, _grid_radius(L, bound, strict=True), memo=False)
+          if k > 0]
     return min(nz) if nz else bound
 
 
 def has_vector_below(L: Lattice, mu) -> bool:
-    """True when some nonzero vector of L has norm < mu."""
-    return any(k > 0 for k in enumerate_short(L, _grid_radius(L, mu, strict=True)))
+    """True when some nonzero vector of L has norm < mu.  A count walk
+    with no memo: when a certificate holds, its subtrees hold only the zero
+    vector and rarely repeat."""
+    return any(k > 0 for k in enumerate_short(L, _grid_radius(L, mu, strict=True), memo=False))
 
 
 def verify_min_norm(L: Lattice, mu) -> bool:

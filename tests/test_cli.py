@@ -219,7 +219,9 @@ def test_construction_outputs_are_pinned(tmp_path, capsys, argv, digest):
 
 def test_cli_error_paths(capsys):
     code, _, err = run(capsys, "verify", "--lattice", "nosuch")
-    assert code == 2 and "no lattice file or builtin" in err
+    assert code == 2 and err == (
+        "error: no lattice file or builtin named 'nosuch' (builtins: a15+, d16+, glue30, "
+        "glue32, shave29, shave31, z<N>, code:<name>)\n")
     code, _, err = run(capsys, "code-info", "--code", "nosuch")
     assert code == 2 and "unknown code" in err
     code, _, err = run(capsys, "theta", "--lattice", "code:nosuch", "--max-norm", "1")
@@ -276,6 +278,8 @@ _I4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     (["verify", "--lattice", "{file}"], {"dim": 1, "gram": [[1]], "name": {"a": 1}}, 2),
     # generators given with a Gram must agree with it
     (["verify", "--lattice", "{file}"], {"dim": 1, "gram": [[1]], "generators": [[2]]}, 2),
+    # an unknown lattice name; the error names the builtins
+    (["verify", "--lattice", "leech"], None, 2),
 ])
 def test_cli_bad_inputs(tmp_path, capsys, argv, gram, status):
     if gram is not None:

@@ -426,6 +426,15 @@ def _class_minima_by_collect(L, R):
     return {c: Fraction(u, den) for c, u in out.items()}
 
 
+def _as_table(mins, dim, cap):
+    """A {class: least norm} map as a list over the 2^dim classes, with cap
+    for the classes it does not reach."""
+    table = [cap] * (1 << dim)
+    for c, u in mins.items():
+        table[c] = u
+    return table
+
+
 def _random_integral_lattice(rng, n, even):
     """B B^T for a random integer B, or a random basis of the even root
     lattice A_n; either way the LLL transform is far from the identity."""
@@ -445,7 +454,8 @@ def _random_integral_lattice(rng, n, even):
 
 def test_class_walk_minima_match_collected_vectors():
     # the class walk reuses the class maps of repeated subtrees, flipped by
-    # their parity masks; the collected vectors are the oracle
+    # their parity masks; the collected vectors are the oracle for the
+    # table its runs are written into, and unreached classes read the cap
     rng = random.Random(3141)
     a15, d16 = a15_plus_fixture(), d16_plus_fixture()
     cases = [(zn(3), 3), (zn(5), 2), (a15, 3), (a15, 5), (d16, 3), (d16, 5)]
@@ -455,8 +465,11 @@ def test_class_walk_minima_match_collected_vectors():
         cases.append((_random_integral_lattice(rng, rng.randrange(5, 8), k % 2 == 0), 12))
     skewed = random_hits = 0
     for L, R in cases:
-        counts, mins, scale, stats = lattice._enum(L, R, classes=True)
-        assert {c: Fraction(u, scale) for c, u in mins.items()} == _class_minima_by_collect(L, R)
+        counts, _, scale, stats = lattice._enum(L, R, classes=True)
+        mins = _class_minima_by_collect(L, R)
+        table = class_minima(L, R, R + 1)
+        assert list(table) == _as_table(mins, L.dim, R + 1)
+        assert table.count(R + 1) == len(table) - len(mins)
         assert {Fraction(u, scale): v for u, v in counts.items()} == enumerate_short(L, R)
         if L in (a15, d16):
             assert stats.hits > 0
@@ -469,25 +482,34 @@ def test_class_walk_minima_match_collected_vectors():
 
 
 def test_class_minima_are_the_class_walk_in_ints():
-    for L, R in ((zn(3), 3), (a15_plus_fixture(), 3), (e8_lattice(), 4)):
-        got = class_minima(L, R)
-        assert got == _class_minima_by_collect(L, R)
-        assert got[0] == 0 and all(type(u) is int for u in got.values())
+    # one byte per class: its least norm, or the cap where no vector of
+    # norm <= R reaches it
+    for L, R, cap in ((zn(3), 3, 4), (zn(3), 1, 9), (a15_plus_fixture(), 3, 4),
+                      (e8_lattice(), 4, 255)):
+        got = class_minima(L, R, cap)
+        assert type(got) is bytearray and len(got) == 1 << L.dim
+        mins = _class_minima_by_collect(L, R)
+        assert list(got) == _as_table(mins, L.dim, cap) and got[0] == 0
+        assert all(got[c] == cap for c in range(len(got)) if c not in mins)
+    assert list(class_minima(zn(3), 1, 9)) == [0, 1, 1, 9, 1, 9, 9, 9]
     with pytest.raises(ValueError, match="integral"):
-        class_minima(Lattice([[1, 0], [0, Fraction(1, 2)]]), 2)
+        class_minima(Lattice([[1, 0], [0, Fraction(1, 2)]]), 2, 3)
 
 
 def test_class_walk_with_a_dropped_memo(monkeypatch):
     # a memo that fills up midway is dropped and the rest of the walk pushes
     # its classes down; counts and minima stay the same
     for L, R in ((d16_plus_fixture(), 4), (a15_plus_fixture(), 3)):
-        want = lattice._enum(L, R, classes=True)
-        assert not want[3].memo_off
+        counts, _, _, stats = lattice._enum(L, R, classes=True)
+        table = class_minima(L, R, R + 1)
+        assert not stats.memo_off
+        assert list(table) == _as_table(_class_minima_by_collect(L, R), L.dim, R + 1)
         for limit in (1, 4):
             with monkeypatch.context() as mp:
                 mp.setattr(lattice, "MEMO_LIMIT", limit)
-                counts, mins, scale, stats = lattice._enum(L, R, classes=True)
-            assert (counts, mins, scale) == want[:3]
+                got, _, _, stats = lattice._enum(L, R, classes=True)
+                assert class_minima(L, R, R + 1) == table
+            assert got == counts
             assert stats.memo_off and stats.stored == limit
 
 
@@ -510,6 +532,17 @@ def test_class_walk_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _runs_table(runs, scale, dim, cap):
+    """The class runs of a walk written into a list over the 2^dim classes,
+    highest norm first as `class_minima` writes its byte table, so a class
+    ends with its least norm and an unreached one reads cap."""
+    table = [cap] * (1 << dim)
+    for u in sorted(runs, reverse=True):
+        for c in runs[u]:
+            table[c] = Fraction(u, scale)
+    return table
 
 
 def _brute_class_minima(L, R):
@@ -542,9 +575,11 @@ def test_walks_with_centres_wider_than_64_bits():
         wide += max(abs(lam[i][j]) for i in range(n) for j in range(i)) >= 1 << 64
         assert lattice._slot_bits(d, lam, m, int(R * dmul * M), 1) > 64
         brute = _brute_counts(L, R)
-        counts, mins, scale_u, stats = lattice._enum(L, R, classes=True)
+        # the norms pass a byte, so the runs go to a list table, not
+        # class_minima's bytes
+        counts, runs, scale_u, stats = lattice._enum(L, R, classes=True)
         assert {Fraction(u, scale_u): v for u, v in counts.items()} == brute
-        assert {c: Fraction(u, scale_u) for c, u in mins.items()} == _brute_class_minima(L, R)
+        assert _runs_table(runs, scale_u, n, None) == _as_table(_brute_class_minima(L, R), n, None)
         hits += stats.hits
         counts, stats = _walk(L, R)
         assert counts == brute
@@ -635,6 +670,84 @@ def test_find_any_stops_at_the_first_hit():
                                    first_only=True)
     assert len(vecs) == 1 and sum(map(abs, vecs[0])) == 1
     assert sum(st.nodes) <= z8.dim + 1 and st.lookups == 0
+
+
+def test_find_any_is_the_collect_walks_first_nonzero_vector():
+    # an existence walk keeps only w_j per level and the collect walk the
+    # coordinate lists, in the same order: its first nonzero vector is the
+    # collect walk's, on lattices and on cosets (offsets over 2, 3 and 4)
+    rng = random.Random(4812)
+    found = 0
+    for k in range(200):
+        n = rng.randrange(1, 6)
+        L = _random_skewed_lattice(rng, n)
+        t = L if k % 2 else Coset(L, [Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3, 4)))
+                                      for _ in range(n)])
+        R = Fraction(rng.randrange(1, 13), 2)
+        _, vecs = enumerate_short(t, R, collect=True)
+        first = next((list(v) for v in vecs if t.norm_of(v)), None)
+        hit = find_any(t, R)
+        assert (hit and hit[1]) == first
+        if hit:
+            assert hit[0] == t.norm_of(first)
+            found += 1
+    assert 50 <= found < 200
+
+
+def test_certificate_walks_keep_no_memo(leech_lattice):
+    # has_vector_below and min_norm are count walks with memo=False: the
+    # memo walk's counts, no lookups and nothing stored; Leech below 4 is
+    # pinned (the memo walk takes 12,928 nodes and 1,072 lookups)
+    r = lattice._grid_radius(leech_lattice, 4, strict=True)
+    counts, _, _, st = lattice._enum(leech_lattice, r, memo=False)
+    assert counts == lattice._enum(leech_lattice, r)[0]
+    assert (sum(st.nodes), st.lookups, st.hits, st.stored, st.memo_off) == (12994, 0, 0, 0, False)
+    rng = random.Random(1729)
+    for k in range(30):
+        n = rng.randrange(1, 7)
+        t = _random_skewed_lattice(rng, n)
+        if k % 2:
+            t = Coset(t, [Fraction(rng.randrange(-3, 4), rng.choice((2, 3))) for _ in range(n)])
+        R = rng.randrange(2, 9)
+        counts, _, _, st = lattice._enum(t, R, memo=False)
+        assert counts == lattice._enum(t, R)[0]
+        assert st.lookups == st.stored == 0 and not st.memo_off
+    # Z^8 has vectors below 2, the unit vectors
+    assert has_vector_below(zn(8), 2) and not has_vector_below(zn(8), 1)
+
+
+def _memo_walk_has_vector_below(L, mu):
+    """has_vector_below by the default count walk, which memoises."""
+    return any(k > 0 for k in enumerate_short(L, lattice._grid_radius(L, mu, strict=True)))
+
+
+def test_memo_free_certificates_match_the_memo_walk():
+    # on random skewed lattices (minimum at most 9) the box in dimension
+    # <= 5 decides the minimum; the memo-free certificates give the memo
+    # walk's answers
+    rng = random.Random(1101)
+    for _ in range(40):
+        L = _random_skewed_lattice(rng, rng.randrange(1, 6))
+        mu0 = _box_minimum(L)
+        assert min_norm(L) == mu0
+        for mu in {Fraction(1, 2), 1, 2, 3, 4, 5, 9, mu0, mu0 + Fraction(1, 2)}:
+            assert has_vector_below(L, mu) == _memo_walk_has_vector_below(L, mu) == (mu0 < mu)
+            assert verify_min_norm(L, mu) == (mu == mu0)
+    for n in range(1, 13):
+        L = zn(n)
+        assert min_norm(L) == 1 and verify_min_norm(L, 1) and not verify_min_norm(L, 2)
+        assert not has_vector_below(L, 1) and has_vector_below(L, 2)
+        assert _memo_walk_has_vector_below(L, 2)
+
+
+def test_memo_free_certificates_on_the_built_lattices(leech_lattice, rm32_lattice,
+                                                      glue30, glue32):
+    built = [(a15_plus_fixture(), 2), (d16_plus_fixture(), 2), (e8_lattice(), 2),
+             (build_shave29(), 3), (glue30, 3), (build_shave31(), 3), (glue32, 4),
+             (leech_lattice, 4), (rm32_lattice, 4)]
+    for L, mu in built:
+        assert not _memo_walk_has_vector_below(L, mu)
+        assert min_norm(L) == mu and verify_min_norm(L, mu)
 
 
 # ---------------------------------------------------------------------------
