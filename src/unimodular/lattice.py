@@ -20,8 +20,10 @@ multiply-add.  When a coset is fixed by negation, only canonical
 representatives are walked and counts are doubled.  A count walk stores
 the norm histogram of each subtree under an exact key, the packed centres
 reduced in one big-int step per level, and reuses it when the subtree
-repeats; a certificate's walk below a minimum keeps no memo.  A lattice
-walk stops at the last norm the lattice's norm grid allows at or below its
+repeats.  A count walk with no memo (a certificate's walk below a
+minimum, and the rest of a walk whose memo filled) runs a count-only
+loop with the coset offset folded into its centres.  A lattice walk
+stops at the last norm the lattice's norm grid allows at or below its
 radius, and a class walk gathers the classes of L/2L it reaches in runs by
 norm: it stores each subtree's runs next to its histogram, relative to the
 parity mask by which reducing the subtree to its key flips the classes, as
@@ -367,16 +369,21 @@ _BYTE_ORDER = sys.byteorder
 class EnumStats:
     """Work of one enumeration: nodes walked per level (empty ones are
     skipped), and the subtree memo of a count or class walk: lookups and
-    hits per level of the subtree's root, stored subtrees, whether the
-    memo was dropped at MEMO_LIMIT, and in a class walk the class entries
-    its hits merged.  `lookups` and `hits` are the totals."""
+    hits per level of the subtree's root, stored subtrees, the nodes walked
+    when the memo was dropped at MEMO_LIMIT (0 if it never was), and in a
+    class walk the class entries its hits merged.  `lookups` and `hits`
+    are the totals, and `memo_off` whether the memo was dropped."""
 
     nodes: list
     level_lookups: list
     level_hits: list
     stored: int = 0
-    memo_off: bool = False
+    dropped_at: int = 0
     merged: int = 0
+
+    @property
+    def memo_off(self) -> bool:
+        return self.dropped_at > 0
 
     @property
     def lookups(self) -> int:
@@ -466,6 +473,13 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
     real w = 0).  A certificate's walk below a minimum passes memo False:
     it finds only the zero vector, so its subtree histograms are empty and
     rarely repeat.
+
+    A count walk's memo-free children off the zero prefix run `plain`,
+    level's tree and nodes with no mode tests: all of them with memo False,
+    and those level reaches after the memo drops at MEMO_LIMIT (the handoff
+    is in level's child loop).  With w_j = sp_j + delta k, sp_j = s_j mod
+    delta, plain steps k: the offset is folded into per-level constants, so
+    a step adds d_j delta to Z and delta LP[j] to the centres, no modulo.
     """
     coset = _as_coset(target)
     L = coset.base
@@ -494,8 +508,12 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
     vecs = [] if (collect or first_only) else None
     runs = {} if classes else None
     memo = {} if memo and vecs is None else None
+    count_walk = vecs is None and runs is None
     nodes, lookups, hits = stats.nodes, stats.level_lookups, stats.level_hits
     period = [dj * delta for dj in d]
+    sp = [si % delta for si in s]
+    # a symmetric walk counts each vector off the zero prefix twice
+    pair, m0, P0 = (2 if sym else 1), m[0], period[0]
     # packed centres: slot i of an int holds c_i + bias in W bits
     W = _slot_bits(d, lam, m, top, delta)
     bias, slot = 1 << (W - 1), (1 << W) - 1
@@ -579,7 +597,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
         X &= low[j]
         cb = (X >> sh[jn]) - bias
         LPj = LP[j]
-        dn, mn, sn, ln = d[jn], m[jn], s[jn], lam[j][jn]
+        dn, mn, sn, ln = d[jn], m[jn], sp[jn], lam[j][jn]
         kj = kc ^ pm[j] if classes else kc
         while wj <= hi:
             Z = dj * wj + c
@@ -593,7 +611,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
             wn = lo + ((sn - lo) % delta)
             on_zero = zero_pref and wj == 0
             if on_zero:
-                wn = max(wn, sn % delta)
+                wn = max(wn, sn)
             hn = (A - cn) // dn
             if wn > hn:
                 wj += delta
@@ -606,7 +624,10 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
                     ws[j] = wj
             kn = kj if wj & 1 else kc
             child = X + wj * LPj
-            if memo is None or on_zero:
+            if memo is None and count_walk and not on_zero:
+                plain(jn, child, r, acc + rem, out, dn * wn + cn,
+                      (wn - sn) // delta, (hn - sn) // delta)
+            elif memo is None or on_zero:
                 level(jn, child, r, on_zero, acc + u, out, wn, hn, kn, mout)
                 if stop:
                     return
@@ -625,7 +646,7 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
                             stats.stored += 1
                         else:
                             memo = None
-                            stats.memo_off = True
+                            stats.dropped_at = sum(nodes)
                 else:
                     hits[jn] += 1
                 h, packed = hit
@@ -647,13 +668,66 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
                         i += nb
             wj += delta
 
+    # plain's constants at level j >= 1, the offset folded into bn: a
+    # child's Z at k = 0 is its centre slot less bn
+    consts = [None] + [(period[j], m[j], low[j], sh[j - 1], period[j - 1], m[j - 1],
+                        delta * lam[j][j - 1], bias - d[j - 1] * sp[j - 1],
+                        sp[j], LP[j], delta * LP[j]) for j in range(1, n)]
+
+    def plain(j, X, rem, base, out, Z, k, kh):
+        # walks w_j = sp[j] + delta k_j for k_j = k..kh below the packed
+        # centres X, Z = d_j w_j + c_j at the first, pushing each vector's
+        # norm into out (base - rem is the norm above, level's acc).  A loop,
+        # not a recursion, whose frames would cross CPython's frame-stack
+        # chunks: entering a child pushes its parent's loop state
+        stack = []
+        push, pop = stack.append, stack.pop
+        while True:
+            nodes[j] += 1
+            if j:
+                P, mj, lowj, shn, Pn, mn, ln, bn, sj, LPj, step = consts[j]
+                X = (X & lowj) + (sj + delta * k) * LPj
+                cn = (X >> shn) - bn
+                left = kh - k + 1
+            else:
+                acc = base - rem
+                for _ in range(k, kh + 1):
+                    u = acc + m0 * Z * Z
+                    out[u] = out.get(u, 0) + pair
+                    Z += P0
+                left = 0
+            while True:
+                if left:
+                    left -= 1
+                    r = rem - mj * Z * Z
+                    A = isqrt(r // mn)
+                    lo = -((A + cn) // Pn)
+                    hn = (A - cn) // Pn
+                    if lo <= hn:
+                        push((X + step, rem, Z + P, cn + ln, left))
+                        j -= 1
+                        rem = r
+                        Z = Pn * lo + cn
+                        k = lo
+                        kh = hn
+                        break
+                    Z += P
+                    cn += ln
+                    X += step
+                elif stack:
+                    X, rem, Z, cn, left = pop()
+                    j += 1
+                    P, mj, lowj, shn, Pn, mn, ln, bn, sj, LPj, step = consts[j]
+                else:
+                    return
+
     # the top level's range, computed as each child's in level() with centre
     # 0: |d w| <= A, w = s (mod delta), and w >= 0 on a zero prefix
     A = isqrt(top // m[n - 1])
     hi = A // d[n - 1]
-    first = -hi + ((s[n - 1] + hi) % delta)
+    first = -hi + ((sp[-1] + hi) % delta)
     if sym:
-        first = max(first, s[n - 1] % delta)
+        first = max(first, sp[-1])
     level(n - 1, sum(bias << t for t in sh), top, sym, 0, counts, first, hi, 0, runs)
     # level refers to itself: break the cycle so the memo goes on return
     del level

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -68,10 +69,14 @@ def _brute_vectors(target, max_norm):
         lo = math.floor(center) - b
         hi = math.ceil(center) + b
         axes.append(range(lo, hi + 1))
+    # the norm of x + t is v gi v^T / (dg dt^2) for v = dt x + ti in ints
+    dg, gi = clear_denominators(g)
+    dt, (ti,) = clear_denominators([off])
+    den = dg * dt * dt
     found = []
     for x in itertools.product(*axes):
-        v = [Fraction(c) + t for c, t in zip(x, off)]
-        norm = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        v = [dt * c + t for c, t in zip(x, ti)]
+        norm = Fraction(sum(a * sum(map(operator.mul, row, v)) for a, row in zip(v, gi)), den)
         if norm <= R:
             found.append((x, norm))
     return found
@@ -176,16 +181,21 @@ def test_collect_on_cosets_matches_brute_force():
         assert counts == _brute_counts(c, R)
 
 
-def _random_rational_target(rng, n, min_det):
-    """A rationally scaled lattice with a generic basis (its reduced
-    Gram-Schmidt table is far from diagonal), or one of its cosets."""
+def _random_generic_lattice(rng, n, min_det):
+    """A rationally scaled lattice with a generic basis: its reduced
+    Gram-Schmidt table is far from diagonal."""
     while True:
         b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
         gram = matmul(b, transpose(b))
         if det_frac(gram) >= min_det:
             break
     scale = rng.choice((Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)))
-    L = Lattice([[scale * x for x in row] for row in gram])
+    return Lattice([[scale * x for x in row] for row in gram])
+
+
+def _random_rational_target(rng, n, min_det):
+    """A `_random_generic_lattice`, or one of its cosets."""
+    L = _random_generic_lattice(rng, n, min_det)
     if rng.random() < 0.3:
         return L
     off = [Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3, 4))) for _ in range(n)]
@@ -748,6 +758,85 @@ def test_memo_free_certificates_on_the_built_lattices(leech_lattice, rm32_lattic
     for L, mu in built:
         assert not _memo_walk_has_vector_below(L, mu)
         assert min_norm(L) == mu and verify_min_norm(L, mu)
+
+
+def _plain_targets(rng, count):
+    """Random generic lattices and cosets, n 1..7, in turn: a lattice, a
+    coset fixed by negation (offsets in Z/2) and a coset with offsets over
+    1..4 (fixed by negation only when they fall in Z/2)."""
+    for k in range(count):
+        n = rng.randrange(1, 8)
+        L = _random_generic_lattice(rng, n, 4 ** min(n, 4))
+        if k % 3 == 0:
+            yield L, rng.randrange(2, 7)
+        elif k % 3 == 1:
+            yield Coset(L, [Fraction(rng.randrange(-3, 4), 2) for _ in range(n)]), rng.randrange(2, 7)
+        else:
+            yield (Coset(L, [Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)) for _ in range(n)]),
+                   rng.randrange(2, 7))
+
+
+def _is_symmetric(target):
+    return all((2 * t).denominator == 1 for t in lattice._as_coset(target).offset)
+
+
+def test_memo_free_count_walks_match_the_memo_walk_and_the_box():
+    # a count walk with memo=False runs plain: the memo walk's counts, the
+    # box's in dimension <= 5, and level's tree, which a collect walk (no
+    # memo) walks node for node; symmetric cosets count each vector twice
+    # off the zero prefix and the zero vector once
+    rng = random.Random(2611)
+    seen = set()
+    for target, R in _plain_targets(rng, 90):
+        counts, _, scale, st = lattice._enum(target, R, memo=False)
+        assert counts == lattice._enum(target, R)[0]
+        assert st.nodes == lattice._enum(target, R, collect=True)[3].nodes
+        assert st.lookups == st.stored == st.dropped_at == 0
+        n = lattice._as_coset(target).base.dim
+        if n <= 5:
+            assert {Fraction(u, scale): c for u, c in counts.items()} == _brute_counts(target, R)
+            seen.add((_is_symmetric(target), n))
+    assert {sym for sym, _ in seen} == {True, False} and {n for _, n in seen} == {1, 2, 3, 4, 5}
+
+
+def test_dropped_memo_walks_finish_in_the_plain_walk(monkeypatch):
+    # with a tiny MEMO_LIMIT the memo drops early and the rest of a count
+    # walk runs plain: the memo-free walk's counts, the drop reported.  The
+    # radii are raised so that every walk misses more than 4 times
+    rng = random.Random(3141)
+    targets = [(t, R + 12) for t, R in _plain_targets(rng, 60)
+               if lattice._as_coset(t).base.dim >= 4]
+    for limit in (0, 1, 4):
+        monkeypatch.setattr(lattice, "MEMO_LIMIT", limit)
+        for target, R in targets:
+            want = lattice._enum(target, R, memo=False)[0]
+            counts, _, _, st = lattice._enum(target, R)
+            assert counts == want
+            assert st.memo_off and st.stored == limit
+            assert 0 < st.dropped_at <= sum(st.nodes)
+    assert any(_is_symmetric(t) for t, _ in targets) and not all(_is_symmetric(t) for t, _ in targets)
+
+
+def test_memo_drop_is_reported_where_it_happens(leech_lattice):
+    # Leech <= 2 drops its memo after 1,054 of its 12,928 nodes; the theta
+    # workload's walks never drop it
+    assert lattice._enum(leech_lattice, 2)[3].dropped_at == 1054
+    for L in (d16_plus_fixture(), a15_plus_fixture()):
+        st = lattice._enum(L, 6)[3]
+        assert st.dropped_at == 0 and not st.memo_off
+
+
+def test_certificate_walks_keep_their_node_counts(leech_lattice, glue30, glue32):
+    # the memo-free walks below each built lattice's minimum, pinned; a
+    # first_only walk, which finds nothing there, walks the same tree
+    walks = [(glue30, 3, 16020), (build_shave29(), 3, 16049), (build_shave31(), 3, 15053),
+             (glue32, 4, 33712), (leech_lattice, 4, 12994)]
+    for L, mu, want in walks:
+        r = lattice._grid_radius(L, mu, strict=True)
+        counts, _, _, st = lattice._enum(L, r, memo=False)
+        assert counts == {0: 1} and sum(st.nodes) == want
+        _, found, _, first = lattice._enum(L, r, first_only=True)
+        assert not found and first.nodes == st.nodes
 
 
 # ---------------------------------------------------------------------------
