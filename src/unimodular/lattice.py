@@ -10,24 +10,23 @@ Fraction matrix.  A coset is a lattice translate, its offset written in
 coordinates of the base lattice's basis.
 
 Short-vector enumeration is exact Fincke-Pohst: the Gram matrix is LLL
-reduced (delta = 99/100), fraction-free Gram-Schmidt data turns the usual recursion into
-scaled big-integer arithmetic (isqrt bounds, no floating point), and coset
-offsets are handled by congruence-stepping the integer coordinates.  A
-node holds the centres of its level and the levels below as one packed
-int, one fixed-width slot per level with the width derived per walk from
-a bound on every centre, so a child's centres are one big-int
-multiply-add.  When a coset is fixed by negation, only canonical
-representatives are walked and counts are doubled.  A count walk stores
-the norm histogram of each subtree under an exact key, the packed centres
-reduced in one big-int step per level, and reuses it when the subtree
-repeats.  A count walk with no memo (a certificate's walk below a
-minimum, and the rest of a walk whose memo filled) runs a count-only
-loop with the coset offset folded into its centres.  A lattice walk
-stops at the last norm the lattice's norm grid allows at or below its
-radius, and a class walk gathers the classes of L/2L it reaches in runs by
-norm: it stores each subtree's runs next to its histogram, relative to the
-parity mask by which reducing the subtree to its key flips the classes, as
-64-bit words that a repeat flips with one big-int xor.
+reduced (delta = 99/100), and fraction-free Gram-Schmidt data turns the
+search into scaled big-integer arithmetic (isqrt bounds, no floating
+point).  One loop over an explicit stack walks the tree in every mode,
+stepping each coordinate through its coset class with the offset folded
+into per-level constants.  A node holds the centres of its level and the
+levels below as one packed int, one fixed-width slot per level with the
+width derived per walk from a bound on every centre, so a child's centres
+are one big-int multiply-add.  When a coset is fixed by negation, only
+canonical representatives are walked and counts are doubled.  A count
+walk stores the norm histogram of each subtree under an exact key, the
+packed centres reduced in one big-int step per level, and reuses it when
+the subtree repeats.  A lattice walk stops at the last norm the lattice's
+norm grid allows at or below its radius, and a class walk gathers the
+classes of L/2L it reaches in runs by norm: it stores each subtree's runs
+next to its histogram, relative to the parity mask by which reducing the
+subtree to its key flips the classes, as 64-bit words that a repeat flips
+with one big-int xor.
 """
 
 from __future__ import annotations
@@ -442,17 +441,26 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
     norm, maybe in higher runs too.  A lattice walk lowers its radius to
     the last multiple of the norm step at or below it (`_grid_radius`).
 
-    Each node does only the work its mode reads.  In reduced coordinates
-    w = delta * (x + t), w_i = s_i (mod delta), and level i adds
-    m_i * (d_i w_i + c_i)^2 with the centre c_i = sum_{l > i} lam[l][i] w_l.
-    A node at level j holds c_0..c_j as one packed int X, slot i holding
-    c_i + 2^(W-1) in W bits (W from `_slot_bits`, so no slot overflows);
-    its child's centres are X + w_j LP[j], LP[j] the row lam[j][:j]
-    packed the same way.  A class walk passes down the class fixed above,
-    the xor of the parity masks of the rows U[j] with x_red[j] odd.  A
-    collect walk keeps per level the O(n) coordinates xo[j] of
-    x_red[j:] . U[j:]; a first_only walk keeps only w_j and builds x once,
-    for the vector it returns.
+    In reduced coordinates w = delta * (x + t), w_i = s_i (mod delta), and
+    level i adds m_i * (d_i w_i + c_i)^2 with the centre
+    c_i = sum_{l > i} lam[l][i] w_l.  A node at level j holds c_0..c_j as
+    one packed int X, slot i holding c_i + 2^(W-1) in W bits (W from
+    `_slot_bits`, so no slot overflows); its child's centres are
+    X + w_j LP[j], LP[j] the row lam[j][:j] packed the same way.  The walk
+    steps k_j in w_j = sp_j + delta k_j, sp_j = s_j mod delta, with the
+    offset folded into per-level constants, so a step adds d_j delta to
+    Z = d_j w_j + c_j and delta LP[j] to the centres, no modulo.  Each node
+    does only the work its mode reads: per level, a class walk keeps the
+    class fixed above (the xor of the parity masks of the rows U[i] with
+    x_red[i] odd), a collect walk the O(n) coordinates xo[j] of
+    x_red[j:] . U[j:], and a first_only walk only k_j, building x once.
+
+    When -t = t mod Z^n, one of each +/- pair is walked and counted twice:
+    the zero prefix, w = 0 from level n - 1 down to the first level whose
+    w_j cannot be 0, is a chain of roots, each walking its w_j > 0 with
+    zero centres.  They are walked deepest first, after the zero vector
+    when the coset holds it (counted once): the order of one tree whose
+    prefix walks w_j >= 0.  Any other walk has the one root n - 1.
 
     A count or class walk memoises subtrees unless memo is False: below a
     level-j node the histogram {norm of levels <= j: count} depends only on
@@ -468,18 +476,17 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
     their least norms; a subtree's runs are stored relative to its mask as
     one int of 64-bit words, each run without repeats, and a repeat flips
     them by the class above and the mask in one big-int xor and adds each
-    run to its shifted norm's run in one C-level call.  Nodes on the zero
-    prefix of a symmetric walk are not memoised (their halving tests the
-    real w = 0).  A certificate's walk below a minimum passes memo False:
-    it finds only the zero vector, so its subtree histograms are empty and
-    rarely repeat.
+    run to its shifted norm's run in one C-level call.  A certificate's
+    walk below a minimum passes memo False: it finds only the zero vector,
+    so its subtree histograms are empty and rarely repeat.  Past
+    MEMO_LIMIT the memo is dropped and the rest of the walk keeps none.
 
-    A count walk's memo-free children off the zero prefix run `plain`,
-    level's tree and nodes with no mode tests: all of them with memo False,
-    and those level reaches after the memo drops at MEMO_LIMIT (the handoff
-    is in level's child loop).  With w_j = sp_j + delta k, sp_j = s_j mod
-    delta, plain steps k: the offset is folded into per-level constants, so
-    a step adds d_j delta to Z and delta LP[j] to the centres, no modulo.
+    One loop over an explicit stack walks every mode, with no recursion,
+    whose frames would cross CPython's frame-stack chunks.  Entering a
+    child pushes its parent's loop state.  A memo miss pushes it with its
+    norm base, histogram, runs and key onto a stack of its own, and the
+    subtree fills a fresh histogram: the frames pushed meanwhile lie above
+    it, and no miss is pushed once the memo drops.
     """
     coset = _as_coset(target)
     L = coset.base
@@ -511,8 +518,9 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
     count_walk = vecs is None and runs is None
     nodes, lookups, hits = stats.nodes, stats.level_lookups, stats.level_hits
     period = [dj * delta for dj in d]
+    # w_j = sp[j] + delta k_j, and x_red[j] = k_j - fl[j]
     sp = [si % delta for si in s]
-    # a symmetric walk counts each vector off the zero prefix twice
+    fl = [si // delta for si in s]
     pair, m0, P0 = (2 if sym else 1), m[0], period[0]
     # packed centres: slot i of an int holds c_i + bias in W bits
     W = _slot_bits(d, lam, m, top, delta)
@@ -521,27 +529,19 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
     low = [(1 << t) - 1 for t in sh]
     LP = [sum(lam[j][i] << sh[i] for i in range(j)) for j in range(n)]
     PL = [(period[i] << sh[i]) + delta * LP[i] for i in range(n)]
-    stop = []
-    # a collect walk's xo[j] is x_red[j:] . U[j:] and a mirror vector is
-    # -x - (2s/delta) . U; a first_only walk's ws[j] is w_j
+    # per level j >= 1, the constants of a step and of entering a node, the
+    # offset folded into bn: a child's Z at k = 0 is its centre slot less bn
+    steps = [None] + [(period[j], m[j], period[j - 1], m[j - 1], delta * lam[j][j - 1],
+                       delta * LP[j]) for j in range(1, n)]
+    enter = [None] + [(low[j], sh[j - 1], bias - d[j - 1] * sp[j - 1], sp[j], LP[j])
+                      for j in range(1, n)]
+    # per level, of its open node: the last k, the child's k and the class
+    # fixed above; a collect walk's mirror vector is -x - (2s/delta) . U
+    khs, ks, kcs = [0] * n, [0] * n, [0] * n
     xo = [None] * n + [[0] * n] if collect else None
-    ws = [0] * n if first_only else None
     shift = vecmat([2 * si // delta for si in s], U) if collect and sym else None
     # in a class walk, pm[j] is the parity mask of the row U[j]
-    pm = [sum((a & 1) << i for i, a in enumerate(row)) for row in U] if classes else None
-
-    def emit(wj, u, mult):
-        if collect:
-            q = (wj - s[0]) // delta
-            v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
-            vecs.append(v)
-            if mult == 2:
-                vecs.append(tuple([-a - b for a, b in zip(v, shift)]))
-        elif u:
-            # first_only: the first nonzero vector ends the walk
-            ws[0] = wj
-            vecs.append(tuple(vecmat([(w - si) // delta for w, si in zip(ws, s)], U)))
-            stop.append(True)
+    pm = [sum((a & 1) << i for i, a in enumerate(row)) for row in U] if classes else [0] * n
 
     def memo_key(j, Y, rem):
         # the subtree's key and, in a class walk, its parity mask
@@ -554,147 +554,85 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
                     mask ^= pm[i]
         return (Y, rem), mask
 
-    def level(j, X, rem, zero_pref, acc, out, wj, hi, kc, mout):
-        # walks w_j = wj, wj + delta, ..., hi below the packed centres X
-        # (slots 0..j), pushing each vector's scaled norm plus acc into out
-        # and, in a class walk, its class (that of levels <= j xor kc) into
-        # the run of its norm plus acc in the runs mout
+    def merge(hit, above, out, mout, flip):
+        # adds a subtree's histogram at the norm above it and, in a class
+        # walk, its runs: every stored class flipped by one big-int xor,
+        # each norm's words added to its run by one C-level call
+        h, packed = hit
+        for u, c in h.items():
+            out[u + above] = out.get(u + above, 0) + c
+        if packed:
+            cs, groups, count = packed
+            stats.merged += count
+            if flip:
+                cs ^= int.from_bytes(flip.to_bytes(8, _BYTE_ORDER) * count, _BYTE_ORDER)
+            cs = memoryview(cs.to_bytes(8 * count, _BYTE_ORDER))
+            i = 0
+            for u, nb in groups:
+                mout.setdefault(u + above, array("Q")).frombytes(cs[i:i + nb])
+                i += nb
+
+    root = sum(bias << t for t in sh)
+
+    def walk(j, k, kh):
+        # walks root j's w_j = sp[j] + delta k_j for k_j = k..kh, pushing
+        # each vector's scaled norm into out (base - rem is the norm above
+        # a node) and, in a class walk, its class into the run of its norm
+        # in mout; True when a first_only walk finds its vector.  At a node
+        # Z = d_j w_j + c_j and cn is the child's Z at k = 0.  A frame holds
+        # the next child's X, Z and cn: all a lean (memo-free count) walk keeps
         nonlocal memo
-        nodes[j] += 1
-        c = (X >> sh[j]) - bias
-        dj, mj = d[j], m[j]
-        if j == 0:
-            if classes:
-                # a leaf reaches two classes, kc for even w_0 and kc ^ pm[0]
-                # for odd; each goes to the runs once, with its least norm
-                best = [None, None]
-                while wj <= hi:
-                    Z = dj * wj + c
-                    u = acc + mj * Z * Z
-                    # a lattice walk is symmetric; x and -x share a class
-                    out[u] = out.get(u, 0) + (1 if zero_pref and wj == 0 else 2)
-                    b = best[wj & 1]
-                    if b is None or u < b:
-                        best[wj & 1] = u
-                    wj += 1
-                for u, k in zip(best, (kc, kc ^ pm[0])):
-                    if u is not None:
-                        mout.setdefault(u, array("Q")).append(k)
-                return
-            while wj <= hi:
-                Z = dj * wj + c
-                u = acc + mj * Z * Z
-                mult = 2 if sym and not (zero_pref and wj == 0) else 1
-                out[u] = out.get(u, 0) + mult
-                if vecs is not None:
-                    emit(wj, u, mult)
-                    if stop:
-                        return
-                wj += delta
-            return
-        jn = j - 1
-        # the centres below level j, and the child's own centre before w_j
-        X &= low[j]
-        cb = (X >> sh[jn]) - bias
-        LPj = LP[j]
-        dn, mn, sn, ln = d[jn], m[jn], sp[jn], lam[j][jn]
-        kj = kc ^ pm[j] if classes else kc
-        while wj <= hi:
-            Z = dj * wj + c
-            u = mj * Z * Z
-            r = rem - u
-            # the child's first and last w (as for the top level below);
-            # an empty child is skipped
-            cn = cb + ln * wj
-            A = isqrt(r // mn)
-            lo = -((A + cn) // dn)
-            wn = lo + ((sn - lo) % delta)
-            on_zero = zero_pref and wj == 0
-            if on_zero:
-                wn = max(wn, sn)
-            hn = (A - cn) // dn
-            if wn > hn:
-                wj += delta
-                continue
-            if vecs is not None:
-                if collect:
-                    q = (wj - s[j]) // delta
-                    xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
-                else:
-                    ws[j] = wj
-            kn = kj if wj & 1 else kc
-            child = X + wj * LPj
-            if memo is None and count_walk and not on_zero:
-                plain(jn, child, r, acc + rem, out, dn * wn + cn,
-                      (wn - sn) // delta, (hn - sn) // delta)
-            elif memo is None or on_zero:
-                level(jn, child, r, on_zero, acc + u, out, wn, hn, kn, mout)
-                if stop:
-                    return
-            else:
-                key, mask = memo_key(jn, child, r)
-                lookups[jn] += 1
-                hit = memo.get(key)
-                if hit is None:
-                    h = {}
-                    hm = {} if classes else None
-                    level(jn, child, r, False, 0, h, wn, hn, mask, hm)
-                    hit = h, (_pack_classes(hm) if classes else None)
-                    if memo is not None:
-                        if len(memo) < MEMO_LIMIT:
-                            memo[key] = hit
-                            stats.stored += 1
-                        else:
-                            memo = None
-                            stats.dropped_at = sum(nodes)
-                else:
-                    hits[jn] += 1
-                h, packed = hit
-                base = acc + u
-                for k, v in h.items():
-                    out[k + base] = out.get(k + base, 0) + v
-                if packed:
-                    # every stored class flipped by one big-int xor, each
-                    # norm's words added to its run by one C-level call
-                    cs, groups, count = packed
-                    stats.merged += count
-                    flip = kn ^ mask
-                    if flip:
-                        cs ^= int.from_bytes(flip.to_bytes(8, _BYTE_ORDER) * count, _BYTE_ORDER)
-                    cs = memoryview(cs.to_bytes(8 * count, _BYTE_ORDER))
-                    i = 0
-                    for v, nb in groups:
-                        mout.setdefault(v + base, array("Q")).frombytes(cs[i:i + nb])
-                        i += nb
-            wj += delta
-
-    # plain's constants at level j >= 1, the offset folded into bn: a
-    # child's Z at k = 0 is its centre slot less bn
-    consts = [None] + [(period[j], m[j], low[j], sh[j - 1], period[j - 1], m[j - 1],
-                        delta * lam[j][j - 1], bias - d[j - 1] * sp[j - 1],
-                        sp[j], LP[j], delta * LP[j]) for j in range(1, n)]
-
-    def plain(j, X, rem, base, out, Z, k, kh):
-        # walks w_j = sp[j] + delta k_j for k_j = k..kh below the packed
-        # centres X, Z = d_j w_j + c_j at the first, pushing each vector's
-        # norm into out (base - rem is the norm above, level's acc).  A loop,
-        # not a recursion, whose frames would cross CPython's frame-stack
-        # chunks: entering a child pushes its parent's loop state
-        stack = []
+        X, rem, base, out, mout, flip = root, top, top, counts, runs, 0
+        Z = period[j] * k + d[j] * sp[j]
+        khs[j] = kh
+        lean = count_walk and memo is None
+        stack, misses = [], []
         push, pop = stack.append, stack.pop
         while True:
-            nodes[j] += 1
             if j:
-                P, mj, lowj, shn, Pn, mn, ln, bn, sj, LPj, step = consts[j]
+                lowj, shn, bn, sj, LPj = enter[j]
+                P, mj, Pn, mn, ln, step = steps[j]
                 X = (X & lowj) + (sj + delta * k) * LPj
                 cn = (X >> shn) - bn
                 left = kh - k + 1
             else:
                 acc = base - rem
-                for _ in range(k, kh + 1):
-                    u = acc + m0 * Z * Z
-                    out[u] = out.get(u, 0) + pair
-                    Z += P0
+                if count_walk:
+                    for _ in range(k, kh + 1):
+                        u = acc + m0 * Z * Z
+                        out[u] = out.get(u, 0) + pair
+                        Z += P0
+                elif collect:
+                    for q in range(k - fl[0], kh + 1 - fl[0]):
+                        u = acc + m0 * Z * Z
+                        out[u] = out.get(u, 0) + pair
+                        v = tuple([a + q * b for a, b in zip(xo[1], U[0])])
+                        vecs.append(v)
+                        if sym:
+                            vecs.append(tuple([-a - b for a, b in zip(v, shift)]))
+                        Z += P0
+                elif first_only:
+                    # no leaf holds the zero vector: the first one reached
+                    # ends the walk
+                    ks[0] = k
+                    vecs.append(tuple(vecmat([a - b for a, b in zip(ks, fl)], U)))
+                    return True
+                else:
+                    # a class leaf reaches two classes, kc for even w_0 and
+                    # kc ^ pm[0] for odd; each goes to the runs once, with
+                    # its least norm
+                    best = [None, None]
+                    for k in range(k, kh + 1):
+                        u = acc + m0 * Z * Z
+                        out[u] = out.get(u, 0) + pair
+                        b = best[k & 1]
+                        if b is None or u < b:
+                            best[k & 1] = u
+                        Z += P0
+                    kc = kcs[0]
+                    for u, c in zip(best, (kc, kc ^ pm[0])):
+                        if u is not None:
+                            mout.setdefault(u, array("Q")).append(c)
                 left = 0
             while True:
                 if left:
@@ -704,8 +642,40 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
                     lo = -((A + cn) // Pn)
                     hn = (A - cn) // Pn
                     if lo <= hn:
-                        push((X + step, rem, Z + P, cn + ln, left))
+                        if lean:
+                            push((X + step, rem, Z + P, cn + ln, left))
+                        elif memo is None:
+                            # a collect, first_only or memo-free class walk
+                            k = khs[j] - left
+                            khs[j - 1] = hn
+                            push((X + step, rem, Z + P, cn + ln, left))
+                            ks[j] = k
+                            kcs[j - 1] = kcs[j] ^ pm[j] if k & 1 else kcs[j]
+                            if collect:
+                                q = k - fl[j]
+                                xo[j] = [a + q * b for a, b in zip(xo[j + 1], U[j])]
+                        else:
+                            key, mask = memo_key(j - 1, X, r)
+                            lookups[j - 1] += 1
+                            if classes:
+                                k = khs[j] - left
+                                khs[j - 1] = hn
+                                flip = (kcs[j] ^ pm[j] if k & 1 else kcs[j]) ^ mask
+                            hit = memo.get(key)
+                            if hit is not None:
+                                hits[j - 1] += 1
+                                merge(hit, base - r, out, mout, flip)
+                                Z += P
+                                cn += ln
+                                X += step
+                                continue
+                            misses.append((X + step, rem, Z + P, cn + ln, left,
+                                           base, out, mout, key, flip))
+                            base, out = r, {}
+                            if classes:
+                                mout, kcs[j - 1] = {}, mask
                         j -= 1
+                        nodes[j] += 1
                         rem = r
                         Z = Pn * lo + cn
                         k = lo
@@ -717,20 +687,50 @@ def _enum(target, max_norm, collect=False, first_only=False, classes=False, memo
                 elif stack:
                     X, rem, Z, cn, left = pop()
                     j += 1
-                    P, mj, lowj, shn, Pn, mn, ln, bn, sj, LPj, step = consts[j]
+                    P, mj, Pn, mn, ln, step = steps[j]
+                elif misses:
+                    # a miss's subtree is done: store it, add it as a hit
+                    h, hm, r = out, mout, base
+                    X, rem, Z, cn, left, base, out, mout, key, flip = misses.pop()
+                    j += 1
+                    P, mj, Pn, mn, ln, step = steps[j]
+                    hit = h, (_pack_classes(hm) if classes else None)
+                    if memo is not None:
+                        if len(memo) < MEMO_LIMIT:
+                            memo[key] = hit
+                            stats.stored += 1
+                        else:
+                            memo = None
+                            stats.dropped_at = sum(nodes)
+                            lean = count_walk
+                    merge(hit, base - r, out, mout, flip)
                 else:
                     return
 
-    # the top level's range, computed as each child's in level() with centre
-    # 0: |d w| <= A, w = s (mod delta), and w >= 0 on a zero prefix
-    A = isqrt(top // m[n - 1])
-    hi = A // d[n - 1]
-    first = -hi + ((sp[-1] + hi) % delta)
-    if sym:
-        first = max(first, sp[-1])
-    level(n - 1, sum(bias << t for t in sh), top, sym, 0, counts, first, hi, 0, runs)
-    # level refers to itself: break the cycle so the memo goes on return
-    del level
+    # the roots, top down, each a node; a root below n - 1 whose w_j >= 0
+    # hold nothing is no node and ends the chain
+    roots = []
+    for j in range(n - 1, -1, -1):
+        A = isqrt(top // m[j])
+        lo, kh = -((A + d[j] * sp[j]) // period[j]), (A - d[j] * sp[j]) // period[j]
+        if kh < 0 and j < n - 1:
+            break
+        nodes[j] += 1
+        roots.append((j, (0 if sp[j] else 1) if sym else lo, kh))
+        if not sym or sp[j]:
+            break
+        if collect:
+            xo[j] = [a - fl[j] * b for a, b in zip(xo[j + 1], U[j])]
+    else:
+        # the zero vector, x = -t
+        counts[0] = 1
+        if collect:
+            vecs.append(tuple(xo[0]))
+        if classes:
+            runs[0] = array("Q", [0])
+    for j, k, kh in reversed(roots):
+        if k <= kh and walk(j, k, kh):
+            break
     return counts, (runs if classes else vecs), M * dmul * delta * delta, stats
 
 

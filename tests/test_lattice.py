@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -215,7 +216,7 @@ def _count_with_limit(monkeypatch, target, R, limit):
 
 def test_memoised_counts_match_brute_force(monkeypatch):
     # the count walk memoises subtree histograms; default limit, a tiny limit
-    # that forces the switch to the plain walk midway, and no memo at all
+    # that drops the memo midway, and no memo at all
     rng = random.Random(4711)
     hits = switched = 0
     for _ in range(40):
@@ -235,7 +236,7 @@ def test_memoised_counts_match_brute_force(monkeypatch):
 
 
 def test_memoised_counts_on_half_offset_cosets(monkeypatch):
-    # -t = t mod the lattice: the zero prefix is walked unmemoised and the
+    # -t = t mod the lattice: the zero prefix's roots are not memoised and the
     # other subtrees are counted twice
     rng = random.Random(808)
     skewed = _random_skewed_lattice(rng, 4)
@@ -683,7 +684,7 @@ def test_find_any_stops_at_the_first_hit():
 
 
 def test_find_any_is_the_collect_walks_first_nonzero_vector():
-    # an existence walk keeps only w_j per level and the collect walk the
+    # an existence walk keeps only k_j per level and the collect walk the
     # coordinate lists, in the same order: its first nonzero vector is the
     # collect walk's, on lattices and on cosets (offsets over 2, 3 and 4)
     rng = random.Random(4812)
@@ -781,9 +782,9 @@ def _is_symmetric(target):
 
 
 def test_memo_free_count_walks_match_the_memo_walk_and_the_box():
-    # a count walk with memo=False runs plain: the memo walk's counts, the
-    # box's in dimension <= 5, and level's tree, which a collect walk (no
-    # memo) walks node for node; symmetric cosets count each vector twice
+    # a count walk with memo=False: the memo walk's counts, the box's in
+    # dimension <= 5, and per level the nodes of a collect walk, which keeps
+    # no memo either; symmetric cosets count each vector twice
     # off the zero prefix and the zero vector once
     rng = random.Random(2611)
     seen = set()
@@ -801,7 +802,7 @@ def test_memo_free_count_walks_match_the_memo_walk_and_the_box():
 
 def test_dropped_memo_walks_finish_in_the_plain_walk(monkeypatch):
     # with a tiny MEMO_LIMIT the memo drops early and the rest of a count
-    # walk runs plain: the memo-free walk's counts, the drop reported.  The
+    # walk keeps none: the memo-free walk's counts, the drop reported.  The
     # radii are raised so that every walk misses more than 4 times
     rng = random.Random(3141)
     targets = [(t, R + 12) for t, R in _plain_targets(rng, 60)
@@ -837,6 +838,65 @@ def test_certificate_walks_keep_their_node_counts(leech_lattice, glue30, glue32)
         assert counts == {0: 1} and sum(st.nodes) == want
         _, found, _, first = lattice._enum(L, r, first_only=True)
         assert not found and first.nodes == st.nodes
+
+
+def test_zero_prefix_chain_edges_match_the_box():
+    # on Z^1..Z^5, where LLL keeps the identity basis, these offsets are the
+    # reduced ones: an integer offset puts the zero vector at x = -t, counted
+    # once, and a half offset only in the last or only in the first
+    # coordinate ends the chain of roots at the top or at the leaf level.
+    # Every walk's counts and the collected vectors are the box's, the
+    # memo-free walk's nodes the collect walk's, and find_any's vector the
+    # first nonzero one collected
+    for n in range(1, 6):
+        L = zn(n)
+        assert lattice._reduced_data(L)[1] == identity(n)
+        offsets = ([(-1) ** i * (i + 1) for i in range(n)],
+                   [0] * (n - 1) + [Fraction(1, 2)], [Fraction(1, 2)] + [0] * (n - 1))
+        for c in [Coset(L, off) for off in offsets]:
+            for R in (0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3):
+                counts, vecs = enumerate_short(c, R, collect=True)
+                assert counts == _brute_counts(c, R) == enumerate_short(c, R)
+                assert enumerate_short(c, R, memo=False) == counts
+                assert sorted(vecs) == sorted(x for x, _ in _brute_vectors(c, R))
+                nodes = lattice._enum(c, R, collect=True)[3].nodes
+                assert lattice._enum(c, R, memo=False)[3].nodes == nodes
+                first = next((list(v) for v in vecs if c.norm_of(v)), None)
+                assert (find_any(c, R) or (None, None))[1] == first
+
+
+def _stack_depth():
+    """The number of Python frames on the stack, the caller's included."""
+    f, depth = sys._getframe(1), 0
+    while f is not None:
+        f, depth = f.f_back, depth + 1
+    return depth
+
+
+def test_walks_make_no_python_recursion():
+    # Z^64 to norm 1 walks down all 64 levels from its top root, in six
+    # modes, under a recursion limit 25 frames above this test: the walk is
+    # a loop
+    z64 = zn(64)
+    half = Coset(z64, [0] * 63 + [Fraction(1, 2)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 25)
+    try:
+        walks = [lattice._enum(z64, 1), lattice._enum(z64, 1, memo=False),
+                 lattice._enum(z64, 1, collect=True), lattice._enum(z64, 1, first_only=True),
+                 lattice._enum(z64, 1, classes=True), lattice._enum(half, 1)]
+    finally:
+        sys.setrecursionlimit(limit)
+    units = [tuple(s * (i == j) for j in range(64)) for i in range(64) for s in (1, -1)]
+    scale = walks[0][2]
+    for counts, _, _, _ in walks[:3] + walks[4:5]:
+        assert counts == {0: 1, scale: 128}
+    assert sorted(walks[2][1]) == sorted(units + [(0,) * 64])
+    assert walks[3][1][0] in units
+    runs = walks[4][1]
+    assert list(runs[0]) == [0] and set(runs[scale]) == {1 << i for i in range(64)}
+    counts, _, coset_scale, _ = walks[5]
+    assert {Fraction(u, coset_scale): c for u, c in counts.items()} == {Fraction(1, 4): 2}
 
 
 # ---------------------------------------------------------------------------
